@@ -605,6 +605,18 @@ impl MonitorBuilder {
 
     /// Attaches a trained frame-rate model; ML engines include its
     /// prediction in every report.
+    ///
+    /// The model is shared read-only by every shard and every flow: a
+    /// monitor holds one copy of the forest, not one per flow (cloning a
+    /// [`RandomForest`] only bumps a reference count). Per-flow state
+    /// accounting ([`FlowTable::state_bytes`]) therefore excludes it by
+    /// design.
+    ///
+    /// An engine attaches the model only when the model's feature width
+    /// ([`RandomForest::n_features`]) matches its own feature vector:
+    /// under [`EstimationMethod::AutoMl`] an IP/UDP model predicts on
+    /// `IpUdpMl` flows while `RtpMl` flows report `model_fps: None`, and
+    /// vice versa.
     pub fn model(mut self, model: RandomForest) -> Self {
         self.model = Some(model);
         self
@@ -1433,6 +1445,7 @@ impl Monitor {
                 deliver: self.deliver.clone(),
                 batches: senders.iter().map(|_| Vec::new()).collect(),
                 senders: senders.clone(),
+                drops: Vec::new(),
             }),
             Dispatch::Inline(_) | Dispatch::Done => None,
         }
@@ -1564,6 +1577,11 @@ pub(crate) struct IngestPort {
     deliver: Deliver,
     senders: Vec<SyncSender<ShardMsg>>,
     batches: Vec<Vec<RoutedPacket>>,
+    /// Parse-drop events not yet delivered: handed over once per
+    /// [`INGEST_BATCH`] drops and on every [`IngestPort::flush`], so a
+    /// TCP-heavy tap takes the event-queue lock once per batch rather
+    /// than once per dropped frame.
+    drops: Vec<Arc<QoeEvent>>,
 }
 
 impl IngestPort {
@@ -1600,9 +1618,11 @@ impl IngestPort {
         }
     }
 
-    /// Sends every partially filled batch to its shard worker. Call
-    /// before dropping the port so no tail packet is left behind.
+    /// Sends every partially filled batch to its shard worker and
+    /// delivers any pending parse drops. Call before dropping the port
+    /// so no tail packet is left behind.
     pub(crate) fn flush(&mut self) {
+        self.deliver_drops(Vec::new());
         for (worker, batch) in self.batches.iter_mut().enumerate() {
             if !batch.is_empty() {
                 let batch = std::mem::take(batch);
@@ -1616,11 +1636,21 @@ impl IngestPort {
 
     fn drop_packet(&mut self, ts: Timestamp, reason: ParseDropReason) {
         self.stats.parse_drops.fetch_add(1, Relaxed);
+        self.drops
+            .push(Arc::new(QoeEvent::ParseDrop { ts, reason }));
+        if self.drops.len() >= INGEST_BATCH {
+            self.deliver_drops(Vec::with_capacity(INGEST_BATCH));
+        }
+    }
+
+    /// Delivers the pending parse drops (if any), leaving `spare` as the
+    /// new accumulator.
+    fn deliver_drops(&mut self, spare: Vec<Arc<QoeEvent>>) {
+        let drops = std::mem::replace(&mut self.drops, spare);
         // Unlike Monitor::drop_packet this may park against a full Block
         // queue: the port holder is an ingest thread, and the runner's
         // event loop is the concurrent drainer that frees it.
-        self.deliver
-            .send(vec![Arc::new(QoeEvent::ParseDrop { ts, reason })]);
+        self.deliver.send(drops);
     }
 }
 
@@ -1629,6 +1659,13 @@ impl Drop for IngestPort {
     /// (ingest-thread panic): delivery is only guaranteed after an
     /// explicit flush, but don't silently strand full batches either.
     fn drop(&mut self) {
+        // Delivering to a sink whose lock a failed peer poisoned panics;
+        // while unwinding that would abort the process, so a panicking
+        // ingest thread leaves its pending drop markers undelivered (the
+        // `parse_drops` counter already has them).
+        if !std::thread::panicking() {
+            self.deliver_drops(Vec::new());
+        }
         for (worker, batch) in self.batches.iter_mut().enumerate() {
             if !batch.is_empty() {
                 let batch = std::mem::take(batch);
@@ -2291,6 +2328,84 @@ mod tests {
         };
         assert_eq!(method_of(rtp_flow), Method::RtpHeuristic);
         assert_eq!(method_of(plain_flow), Method::IpUdpHeuristic);
+    }
+
+    /// A forest fitted on `width` synthetic features.
+    fn forest_of_width(width: usize) -> RandomForest {
+        use vcaml_mlcore::{Dataset, RandomForestParams, Task};
+        let mut data = Dataset::new((0..width).map(|i| format!("f{i}")).collect());
+        for i in 0..64 {
+            let row: Vec<f64> = (0..width).map(|j| ((i * (j + 3)) % 17) as f64).collect();
+            data.push(&row, 20.0 + (i % 11) as f64);
+        }
+        let params = RandomForestParams {
+            n_trees: 4,
+            ..Default::default()
+        };
+        RandomForest::fit(&data, Task::Regression, &params)
+    }
+
+    /// Every final report of `flow` in an event stream.
+    fn final_reports_of(events: &[QoeEvent], flow: FlowKey) -> Vec<&WindowReport> {
+        events
+            .iter()
+            .filter(|e| e.flow() == Some(flow))
+            .flat_map(QoeEvent::final_reports)
+            .collect()
+    }
+
+    #[test]
+    fn auto_ml_attaches_the_model_only_to_matching_widths() {
+        use vcaml_rtp::RtpHeader;
+        let ipudp_model = forest_of_width(14);
+        let mut m = MonitorBuilder::new(VcaKind::Teams)
+            .method(EstimationMethod::AutoMl)
+            .model(ipudp_model)
+            .build();
+        let rtp_flow = flow_key(1);
+        let plain_flow = flow_key(2);
+        for f in 0..90i64 {
+            let t0 = f * 33_333;
+            for i in 0..2u16 {
+                let mut p = pkt(t0 + i64::from(i) * 300, 1100);
+                p.rtp = Some(RtpHeader::basic(
+                    102,
+                    (f * 2) as u16 + i,
+                    (f * 3000) as u32,
+                    1,
+                    i == 1,
+                ));
+                m.ingest_packet(rtp_flow, p);
+                m.ingest_packet(plain_flow, pkt(t0 + i64::from(i) * 300, 1100));
+            }
+        }
+        let events = m.finish();
+        let plain = final_reports_of(&events, plain_flow);
+        assert!(!plain.is_empty());
+        assert!(plain
+            .iter()
+            .all(|r| r.method == Method::IpUdpMl && r.model_fps.is_some()));
+        let rtp = final_reports_of(&events, rtp_flow);
+        assert!(!rtp.is_empty());
+        assert!(rtp
+            .iter()
+            .all(|r| r.method == Method::RtpMl && r.model_fps.is_none()));
+    }
+
+    #[test]
+    fn wide_model_on_an_ipudp_flow_reports_none_without_panicking() {
+        let mut m = fixed(Method::IpUdpMl)
+            .model(forest_of_width(24))
+            .threads(2)
+            .build();
+        let flow = flow_key(1);
+        for p in video_stream(3) {
+            m.ingest_packet(flow, p);
+        }
+        let events = m.finish();
+        let reports = final_reports_of(&events, flow);
+        assert_eq!(reports.len(), 3);
+        assert!(reports.iter().all(|r| r.model_fps.is_none()));
     }
 
     #[test]

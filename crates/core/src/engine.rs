@@ -888,9 +888,13 @@ impl IpUdpMlEngine {
     }
 
     /// Attaches a trained frame-rate model; its prediction is included in
-    /// every report.
+    /// every report. A model fitted on a different feature width than this
+    /// engine's 14 IP/UDP features is not attached (reports carry
+    /// `model_fps: None`): its predictions would be meaningless.
     pub fn with_model(mut self, model: RandomForest) -> Self {
-        self.model = Some(model);
+        if model.n_features() == self.empty_features.len() {
+            self.model = Some(model);
+        }
         self
     }
 
@@ -1006,9 +1010,13 @@ impl RtpMlEngine {
         }
     }
 
-    /// Attaches a trained frame-rate model.
+    /// Attaches a trained frame-rate model. A model fitted on a different
+    /// feature width than this engine's 24 flow + RTP features is not
+    /// attached (reports carry `model_fps: None`).
     pub fn with_model(mut self, model: RandomForest) -> Self {
-        self.model = Some(model);
+        if model.n_features() == self.empty_features.len() {
+            self.model = Some(model);
+        }
         self
     }
 
@@ -1563,6 +1571,9 @@ impl<E: QoeEstimator> FlowTable<E> {
     /// Total resident bytes of tracked-flow state: the probe tables, the
     /// entry slabs, and each engine's own [`QoeEstimator::state_bytes`]
     /// accounting — the numerator of the monitor's bytes-per-flow gauge.
+    /// An attached frame-rate model is excluded by design: every engine
+    /// shares one read-only forest, so it is per-monitor, not per-flow,
+    /// state.
     pub fn state_bytes(&self) -> usize {
         let mut total = 0;
         for shard in &self.shards {

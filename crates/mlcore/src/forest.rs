@@ -7,6 +7,7 @@ use crate::tree::{DecisionTree, TreeParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Learning task. The paper regresses frame rate / bitrate / frame jitter
 /// and classifies resolution (§3.2.2, §5.1.5).
@@ -50,10 +51,21 @@ impl Default for RandomForestParams {
 }
 
 /// A fitted random forest.
+///
+/// Immutable once fitted: the trees, feature names and importances sit
+/// behind one [`Arc`], so `clone()` is a reference-count bump and all
+/// clones share one copy of the model. Predictions through any clone are
+/// identical.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RandomForest {
-    trees: Vec<DecisionTree>,
+    fitted: Arc<Fitted>,
     task: Task,
+}
+
+/// The read-only body of a fitted forest, shared by all its clones.
+#[derive(Debug, Serialize, Deserialize)]
+struct Fitted {
+    trees: Vec<DecisionTree>,
     feature_names: Vec<String>,
     importances: Vec<f64>,
 }
@@ -136,22 +148,26 @@ impl RandomForest {
         }
 
         RandomForest {
-            trees,
+            fitted: Arc::new(Fitted {
+                trees,
+                feature_names: data.feature_names().to_vec(),
+                importances,
+            }),
             task,
-            feature_names: data.feature_names().to_vec(),
-            importances,
         }
     }
 
-    /// Predicts one sample.
+    /// Predicts one sample. `row` must hold [`RandomForest::n_features`]
+    /// values, in the order of the training dataset's columns.
     pub fn predict(&self, row: &[f64]) -> f64 {
+        let trees = &self.fitted.trees;
         match self.task {
             Task::Regression => {
-                self.trees.iter().map(|t| t.predict(row)).sum::<f64>() / self.trees.len() as f64
+                trees.iter().map(|t| t.predict(row)).sum::<f64>() / trees.len() as f64
             }
             Task::Classification { n_classes } => {
                 let mut votes = vec![0usize; n_classes];
-                for t in &self.trees {
+                for t in trees {
                     votes[t.predict(row) as usize] += 1;
                 }
                 votes
@@ -171,17 +187,18 @@ impl RandomForest {
 
     /// Normalized impurity-based feature importances (sum to 1).
     pub fn feature_importances(&self) -> &[f64] {
-        &self.importances
+        &self.fitted.importances
     }
 
     /// `(name, importance)` pairs sorted descending — the paper's top-5
     /// feature plots.
     pub fn top_features(&self, k: usize) -> Vec<(String, f64)> {
         let mut pairs: Vec<(String, f64)> = self
+            .fitted
             .feature_names
             .iter()
             .cloned()
-            .zip(self.importances.iter().copied())
+            .zip(self.fitted.importances.iter().copied())
             .collect();
         pairs.sort_by(|a, b| b.1.total_cmp(&a.1));
         pairs.truncate(k);
@@ -190,7 +207,13 @@ impl RandomForest {
 
     /// Number of trees.
     pub fn n_trees(&self) -> usize {
-        self.trees.len()
+        self.fitted.trees.len()
+    }
+
+    /// Width of the feature vector the forest was fitted on — the row
+    /// length [`RandomForest::predict`] expects.
+    pub fn n_features(&self) -> usize {
+        self.fitted.feature_names.len()
     }
 
     /// The task this forest was fitted for.
@@ -298,6 +321,27 @@ mod tests {
         };
         let f = RandomForest::fit(&d, Task::Regression, &p);
         assert_eq!(f.n_trees(), 7);
+    }
+
+    #[test]
+    fn clones_share_storage_and_predict_identically() {
+        let d = make_regression(300);
+        let p = RandomForestParams {
+            n_trees: 10,
+            ..Default::default()
+        };
+        let a = RandomForest::fit(&d, Task::Regression, &p);
+        let b = a.clone();
+        assert!(
+            Arc::ptr_eq(&a.fitted, &b.fitted),
+            "clone deep-copied the trees"
+        );
+        assert_eq!(b.n_features(), 2);
+        for i in 0..d.len() {
+            assert_eq!(a.predict(d.row(i)).to_bits(), b.predict(d.row(i)).to_bits());
+        }
+        drop(a);
+        assert_eq!(b.n_trees(), 10, "a clone outlives the original");
     }
 
     #[test]

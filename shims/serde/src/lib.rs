@@ -9,7 +9,7 @@
 //!   `Value::Null` otherwise — enough for the JSON artifacts the bench
 //!   harness writes.
 //! * The [`Serialize`] trait, implemented for the primitives, strings,
-//!   tuples, vectors, options, and maps that flow into
+//!   tuples, vectors, options, `Arc`s, and maps that flow into
 //!   `serde_json::to_string_pretty`.
 //! * The [`Value`] tree itself, which the `serde_json` shim re-exports.
 //!
@@ -130,6 +130,14 @@ impl Serialize for str {
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+
+/// Serializes the shared value, as real serde's `rc` feature does (no
+/// sharing is preserved: each handle renders the value in full).
+impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }

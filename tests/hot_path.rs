@@ -10,46 +10,58 @@
 //!
 //! ML engines run in [`StatsMode::Sketch`], the strict-O(1) configuration
 //! (exact mode keeps unbounded per-window sets by design).
+//!
+//! The same allocator also meters bytes: opening a flow on a monitor with
+//! a trained model attached must not copy the model into the flow.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::net::{IpAddr, Ipv4Addr};
 use vcaml_suite::datasets::{inlab_corpus, CorpusConfig};
 use vcaml_suite::features::StatsMode;
+use vcaml_suite::mlcore::{Dataset, RandomForest, RandomForestParams, Task};
+use vcaml_suite::netpkt::{FlowKey, Timestamp};
 use vcaml_suite::rtp::VcaKind;
 use vcaml_suite::vcaml::engine::{
     IpUdpHeuristicEngine, IpUdpMlEngine, RtpHeuristicEngine, RtpMlEngine,
 };
-use vcaml_suite::vcaml::{EngineConfig, QoeEstimator, Trace, WindowReport};
+use vcaml_suite::vcaml::{
+    EngineConfig, EstimationMethod, Method, MonitorBuilder, QoeEstimator, Trace, TracePacket,
+    WindowReport,
+};
 
-/// Wraps the system allocator with a per-thread allocation counter. The
-/// counter only advances while the owning thread has armed it, so
-/// parallel test threads never pollute each other's measurements.
+/// Wraps the system allocator with per-thread allocation and byte
+/// counters. The counters only advance while the owning thread has armed
+/// them, so parallel test threads never pollute each other's
+/// measurements.
 struct CountingAlloc;
 
 thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_if_armed() {
+fn count_if_armed(bytes: usize) {
     if ARMED.with(Cell::get) {
         ALLOCS.with(|a| a.set(a.get() + 1));
+        BYTES.with(|b| b.set(b.get() + bytes as u64));
     }
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_if_armed();
+        count_if_armed(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_if_armed();
+        count_if_armed(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_if_armed();
+        count_if_armed(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -61,14 +73,27 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Runs `f` with the counter armed and returns how many heap allocations
-/// it made on this thread.
-fn metered<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCS.with(Cell::get);
+/// Runs `f` with the counters armed and returns how many heap
+/// allocations it made on this thread, and how many bytes they asked for
+/// (a `realloc` counts its new size).
+fn meter<R>(f: impl FnOnce() -> R) -> (u64, u64, R) {
+    let allocs = ALLOCS.with(Cell::get);
+    let bytes = BYTES.with(Cell::get);
     ARMED.with(|c| c.set(true));
     let out = f();
     ARMED.with(|c| c.set(false));
-    (ALLOCS.with(Cell::get) - before, out)
+    (
+        ALLOCS.with(Cell::get) - allocs,
+        BYTES.with(Cell::get) - bytes,
+        out,
+    )
+}
+
+/// Runs `f` with the counters armed and returns how many heap
+/// allocations it made on this thread.
+fn metered<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let (allocs, _, out) = meter(f);
+    (allocs, out)
 }
 
 fn trace(vca: VcaKind) -> Trace {
@@ -130,8 +155,12 @@ fn sketch_config(vca: VcaKind) -> EngineConfig {
 /// The meter itself must see allocations, or every test above is vacuous.
 #[test]
 fn allocation_meter_detects_heap_traffic() {
-    let (allocs, v) = metered(|| Vec::<u64>::with_capacity(32));
+    let (allocs, bytes, v) = meter(|| Vec::<u64>::with_capacity(32));
     assert!(allocs >= 1, "counting allocator missed a Vec allocation");
+    assert!(
+        bytes >= 256,
+        "byte meter missed a 256-byte allocation ({bytes})"
+    );
     drop(v);
     let (quiet, ()) = metered(|| ());
     assert_eq!(quiet, 0, "counter advanced with no allocation");
@@ -163,4 +192,62 @@ fn rtp_ml_steady_state_is_alloc_free() {
     let t = trace(VcaKind::Teams);
     let engine = RtpMlEngine::new(sketch_config(VcaKind::Teams), t.payload_map);
     assert_alloc_free_steady_state(engine, &t, "RtpMl");
+}
+
+/// A 40-tree forest on the 14 IP/UDP feature columns, fitted to a
+/// synthetic target with enough structure that its trees grow deep:
+/// a deep copy of it is megabytes, far above the per-flow bound below.
+fn ipudp_width_forest() -> RandomForest {
+    let mut data = Dataset::new((0..14).map(|i| format!("f{i}")).collect());
+    for i in 0..2000u64 {
+        let row: Vec<f64> = (0..14u64)
+            .map(|j| ((i * (2 * j + 7) + j * j) % 101) as f64)
+            .collect();
+        let fps = 5.0 + row[0] * 0.2 + (row[1] * row[2]).sqrt() * 0.1 + (i % 13) as f64;
+        data.push(&row, fps);
+    }
+    RandomForest::fit(&data, Task::Regression, &RandomForestParams::default())
+}
+
+/// Opening a flow must not copy the attached model: every flow's engine
+/// shares the monitor's one forest, so a flow open costs the engine's own
+/// state (a few KiB), not the forest's (about 1 MB per copy).
+#[test]
+fn ipudp_ml_flow_open_does_not_copy_the_model() {
+    const FLOWS: u16 = 1000;
+    const MAX_BYTES_PER_FLOW: u64 = 64 * 1024;
+    // Inline monitor: every flow open runs on this (metered) thread.
+    let mut m = MonitorBuilder::new(VcaKind::Teams)
+        .method(EstimationMethod::Fixed(Method::IpUdpMl))
+        .model(ipudp_width_forest())
+        .threads(1)
+        .build();
+    let server = IpAddr::V4(Ipv4Addr::new(203, 0, 113, 1));
+    let packet = TracePacket {
+        ts: Timestamp::from_micros(0),
+        size: 1100,
+        rtp: None,
+        truth_media: None,
+    };
+    let (_, bytes, ()) = meter(|| {
+        for n in 0..FLOWS {
+            let client = IpAddr::V4(Ipv4Addr::new(10, 0, (n >> 8) as u8, n as u8));
+            let (flow, _) = FlowKey::canonical(client, 50_000, server, 3478, 17);
+            m.ingest_packet(flow, packet);
+        }
+    });
+    assert_eq!(m.stats().flows_opened, u64::from(FLOWS));
+    let per_flow = bytes / u64::from(FLOWS);
+    assert!(
+        per_flow < MAX_BYTES_PER_FLOW,
+        "opening a flow allocated {per_flow} bytes (bound {MAX_BYTES_PER_FLOW})"
+    );
+    // The bound is only meaningful if the model really is attached.
+    let reports: Vec<WindowReport> = m
+        .finish()
+        .iter()
+        .flat_map(|e| e.final_reports().to_vec())
+        .collect();
+    assert_eq!(reports.len(), usize::from(FLOWS));
+    assert!(reports.iter().all(|r| r.model_fps.is_some()));
 }
