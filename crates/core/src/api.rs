@@ -10,8 +10,9 @@
 //! eth→ip→udp parse and the RTP parse-attempt itself; callers never touch
 //! `netpkt` internals. Output is a stream of [`QoeEvent`]s — window
 //! reports, flow lifecycle, classified parse drops — drained as an
-//! iterator or delivered to a callback sink, and serializable as JSON
-//! lines for dashboards and log shippers.
+//! iterator (or published to subscribers by
+//! [`MonitorRunner`](crate::runner::MonitorRunner)), and serializable as
+//! JSON lines for dashboards and log shippers.
 //!
 //! The monitor scales across cores: [`MonitorBuilder::threads`] pins
 //! flow-table shards to dedicated worker threads — each packet is hashed
@@ -69,12 +70,13 @@ use crate::control::{ControlShared, MonitorHandle};
 use crate::engine::{EngineConfig, FlowTable, QoeEstimator, WindowReport};
 use crate::engine::{IpUdpHeuristicEngine, IpUdpMlEngine, RtpHeuristicEngine, RtpMlEngine};
 use crate::pipeline::Method;
+use crate::source::SourcePacket;
 use crate::trace::TracePacket;
 use serde::{Map, Serialize, Value};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use vcaml_features::StatsMode;
 use vcaml_mlcore::RandomForest;
@@ -85,9 +87,6 @@ use vcaml_rtp::{PayloadMap, RtpHeader, VcaKind};
 /// A per-flow estimator behind the facade. `Send` so a future sharded
 /// monitor can move engines across worker threads.
 pub type BoxedEngine = Box<dyn QoeEstimator + Send>;
-
-/// A builder-configured per-event callback (see [`MonitorBuilder::sink`]).
-type BuilderSink = Box<dyn FnMut(&QoeEvent) + Send>;
 
 /// Packets buffered per flow before the RTP-confidence decision is made
 /// (auto method selection only).
@@ -543,7 +542,6 @@ pub struct MonitorBuilder {
     overflow: OverflowPolicy,
     idle_timeout: Timestamp,
     flush_after: Option<u32>,
-    sink: Option<BuilderSink>,
 }
 
 impl MonitorBuilder {
@@ -565,7 +563,6 @@ impl MonitorBuilder {
             overflow: OverflowPolicy::Block,
             idle_timeout: Timestamp::from_secs(60),
             flush_after: None,
-            sink: None,
         }
     }
 
@@ -683,15 +680,6 @@ impl MonitorBuilder {
         self
     }
 
-    /// Delivers events to a callback as they happen instead of queueing
-    /// them for [`Monitor::drain_events`]. The callback borrows the
-    /// event (events are shared on the delivery path); clone explicitly
-    /// if the consumer needs ownership.
-    pub fn sink(mut self, sink: impl FnMut(&QoeEvent) + Send + 'static) -> Self {
-        self.sink = Some(Box::new(sink));
-        self
-    }
-
     /// Constructs the monitor, spawning its shard workers when
     /// [`MonitorBuilder::threads`] resolves to ≥ 2 (`threads(0)` sizes
     /// them from [`std::thread::available_parallelism`]).
@@ -703,16 +691,24 @@ impl MonitorBuilder {
             n => n,
         };
         let inline = threads == 1;
+        let wants_rtp = self.method.is_auto()
+            || matches!(
+                self.method,
+                EstimationMethod::Fixed(Method::RtpHeuristic | Method::RtpMl)
+            );
         let stats = Arc::new(StatsCells::default());
-        let control = Arc::new(ControlShared::new(if inline { 0 } else { threads }));
+        // One bounded channel per shard worker; they share the event
+        // queue's capacity knob (counted in batches) so one bound governs
+        // the pipeline.
+        let channel_batches = (self.queue_capacity / INGEST_BATCH).max(1);
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..if inline { 0 } else { threads })
+            .map(|_| sync_channel::<ShardMsg>(channel_batches))
+            .unzip();
+        let control = Arc::new(ControlShared::new(senders.clone()));
         // A single-threaded monitor must never park on its own queue
         // (the producer is the consumer), so Block only waits when shard
         // workers exist.
         let queue = Arc::new(EventQueue::new(self.queue_capacity, self.overflow, !inline));
-        let deliver = match self.sink {
-            Some(sink) => Deliver::Sink(Arc::new(Mutex::new(sink))),
-            None => Deliver::Queue(Arc::clone(&queue)),
-        };
         let shard_state = |n_shards: usize, worker: usize| ShardState {
             worker,
             method: self.method,
@@ -734,8 +730,6 @@ impl MonitorBuilder {
             last_evict_us: i64::MIN,
             stats: Arc::clone(&stats),
             control: Arc::clone(&control),
-            seen_flush_epoch: 0,
-            evict_cursor: 0,
             out: Vec::new(),
             reports: Vec::new(),
             snapshots: Vec::new(),
@@ -743,47 +737,44 @@ impl MonitorBuilder {
         let dispatch = if inline {
             Dispatch::Inline(Box::new(shard_state(self.shards, 0)))
         } else {
-            // Distribute the configured shards across the workers; the
-            // ingest channels share the event queue's capacity knob
-            // (counted in batches) so one bound governs the pipeline.
+            // Distribute the configured shards across the workers.
             let inner_shards = (self.shards / threads).max(1);
-            let channel_batches = (self.queue_capacity / INGEST_BATCH).max(1);
-            let mut senders = Vec::with_capacity(threads);
-            let mut handles = Vec::with_capacity(threads);
-            for worker in 0..threads {
-                let (tx, rx) = sync_channel::<ShardMsg>(channel_batches);
-                let state = shard_state(inner_shards, worker);
-                let deliver = deliver.clone();
-                let handle = std::thread::Builder::new()
-                    .name(format!("vcaml-shard-{worker}"))
-                    .spawn(move || worker_loop(state, rx, deliver, worker))
-                    .expect("spawn shard worker"); // lint: allow(no-unwrap-in-lib) -- spawn fails only on OS thread exhaustion; no recovery at this layer
-                senders.push(tx);
-                handles.push(handle);
-            }
-            Dispatch::Threaded {
+            let handles = receivers
+                .into_iter()
+                .enumerate()
+                .map(|(worker, rx)| {
+                    let state = shard_state(inner_shards, worker);
+                    let queue = Arc::clone(&queue);
+                    std::thread::Builder::new()
+                        .name(format!("vcaml-shard-{worker}"))
+                        .spawn(move || worker_loop(state, rx, &queue))
+                        .expect("spawn shard worker") // lint: allow(no-unwrap-in-lib) -- spawn fails only on OS thread exhaustion; no recovery at this layer
+                })
+                .collect();
+            let router = IngestRouter {
+                wants_rtp,
+                stats: Arc::clone(&stats),
+                control: Arc::clone(&control),
+                queue: Arc::clone(&queue),
                 batches: senders.iter().map(|_| Vec::new()).collect(),
                 senders,
-                handles,
-            }
+                drops: Vec::new(),
+                // This router's caller also drains the queue, so under
+                // Block it stages events rather than wait on a worker
+                // parked on that queue (see `IngestRouter::send`).
+                stage_on_full: self.overflow == OverflowPolicy::Block,
+                staged: Vec::new(),
+            };
+            Dispatch::Threaded { router, handles }
         };
         Monitor {
-            wants_rtp: self.method.is_auto()
-                || matches!(
-                    self.method,
-                    EstimationMethod::Fixed(Method::RtpHeuristic | Method::RtpMl)
-                ),
+            wants_rtp,
             method: self.method,
             vca: self.vca,
             stats,
-            stage_on_full: !inline
-                && self.overflow == OverflowPolicy::Block
-                && matches!(deliver, Deliver::Queue(_)),
             queue,
             control,
-            deliver,
             dispatch,
-            drained: VecDeque::new(),
         }
     }
 }
@@ -918,45 +909,19 @@ impl PendingFlow {
     }
 }
 
-/// A user event callback, shared across shard workers.
-type SharedSink = Arc<Mutex<BuilderSink>>;
-
-/// Where produced events go: the shared bounded queue (drained by the
-/// caller) or a user callback sink. Cloned into every shard worker.
-#[derive(Clone)]
-enum Deliver {
-    Queue(Arc<EventQueue>),
-    Sink(SharedSink),
-}
-
-impl Deliver {
-    fn send(&self, events: Vec<Arc<QoeEvent>>) {
-        if events.is_empty() {
-            return;
-        }
-        match self {
-            Deliver::Queue(queue) => queue.push_batch(events),
-            Deliver::Sink(sink) => {
-                let mut sink = sink.lock().expect("sink poisoned"); // lint: allow(no-unwrap-in-lib) -- poisoned sink lock means a peer thread already panicked; escalate
-                for event in events {
-                    sink(&event);
-                }
-            }
-        }
-    }
-}
-
 /// One packet routed to a shard worker, carrying the
-/// [`FlowKey::hash64`] the dispatcher already computed — workers reuse
-/// it for the table probe, so a key is hashed exactly once per packet.
+/// [`FlowKey::hash64`] the router already computed — workers reuse it
+/// for the table probe, so a key is hashed exactly once per packet.
 type RoutedPacket = (u64, FlowKey, TracePacket);
 
-/// One message on a shard worker's bounded ingest channel.
-enum ShardMsg {
+/// One message on a shard worker's bounded ingest channel. The channel
+/// disconnecting (every router and control waker dropped) is the end of
+/// stream: the worker seals every flow and exits.
+pub(crate) enum ShardMsg {
     /// Packets for this worker's flows, in arrival order.
     Batch(Vec<RoutedPacket>),
-    /// End of stream: seal every flow and exit.
-    Finish,
+    /// Wake-up for an idle worker: its control mailbox has a request.
+    Control,
 }
 
 /// How packets reach the per-flow engines: on the caller's thread, or
@@ -965,11 +930,10 @@ enum Dispatch {
     /// `threads == 1`: one shard state driven inline — no threads, no
     /// channels, identical to the pre-parallel monitor.
     Inline(Box<ShardState>),
-    /// `threads ≥ 2`: per-worker bounded channels plus per-worker batch
-    /// buffers that amortize the hand-off.
+    /// `threads ≥ 2`: the monitor's own ingest router plus the workers
+    /// it feeds.
     Threaded {
-        senders: Vec<SyncSender<ShardMsg>>,
-        batches: Vec<Vec<RoutedPacket>>,
+        router: IngestRouter,
         handles: Vec<JoinHandle<()>>,
     },
     /// Placeholder after [`Monitor::finish`] has taken the dispatch
@@ -977,95 +941,22 @@ enum Dispatch {
     Done,
 }
 
-/// Hands one batch to a shard worker without ever deadlocking on our own
-/// pipeline. Under [`OverflowPolicy::Block`] (without a sink) a worker
-/// can be parked on the full event queue while the dispatcher waits on
-/// that worker's full channel — each waiting on the other — so there
-/// (`stage_on_full`) a full channel is answered by draining the queue,
-/// which wakes the worker, and staging the events for the caller's next
-/// `drain_events`. Under `DropOldest` (or with a sink) workers never
-/// park, so a plain blocking send is both safe and required: draining
-/// would quietly turn the bounded queue into unbounded staging.
-fn dispatch_batch(
-    sender: &SyncSender<ShardMsg>,
-    queue: &EventQueue,
-    drained: &mut VecDeque<Arc<QoeEvent>>,
-    stage_on_full: bool,
-    control: &ControlShared,
-    worker: usize,
-    batch: Vec<RoutedPacket>,
-) {
-    control.depth_add(worker, batch.len() as u64);
-    let mut msg = ShardMsg::Batch(batch);
-    if !stage_on_full {
-        sender.send(msg).expect("shard workers outlive dispatch"); // lint: allow(no-unwrap-in-lib) -- shard workers are owned by this struct and outlive dispatch by construction
-        return;
-    }
-    loop {
-        match sender.try_send(msg) {
-            Ok(()) => return,
-            Err(std::sync::mpsc::TrySendError::Full(back)) => {
-                msg = back;
-                let events = queue.drain();
-                if events.is_empty() {
-                    // Channel full, queue empty: the worker is mid-batch.
-                    std::thread::yield_now();
-                }
-                drained.extend(events);
-            }
-            Err(std::sync::mpsc::TrySendError::Disconnected(_)) => {
-                unreachable!("shard workers outlive dispatch")
-            }
+/// A shard worker's main loop: ingest batches until every sender is
+/// gone, applying the shard's control mailbox after every message (a
+/// batch, or the wake-up an idle shard gets when a request is posted),
+/// then seal every flow and deliver the tail.
+fn worker_loop(mut state: ShardState, rx: Receiver<ShardMsg>, queue: &EventQueue) {
+    while let Ok(msg) = rx.recv() {
+        if let ShardMsg::Batch(batch) = msg {
+            let n = batch.len() as u64;
+            state.ingest_batch(batch);
+            state.control.depth_sub(state.worker, n);
         }
-    }
-}
-
-/// How often a freshly idle shard worker wakes to poll the control
-/// plane — `force_flush` and `evict_flow` apply within one tick on a
-/// quiet shard (a busy shard applies them after every batch).
-const CONTROL_POLL: std::time::Duration = std::time::Duration::from_millis(20);
-
-/// Idle-tick ceiling: a worker whose shard stays quiet backs its poll
-/// interval off exponentially to this bound, so a long-idle threaded
-/// monitor costs a couple of timer wakeups per second per worker
-/// instead of fifty — at the price of control requests applying within
-/// half a second (instead of one tick) on a long-quiet shard.
-const CONTROL_POLL_MAX: std::time::Duration = std::time::Duration::from_millis(500);
-
-/// A shard worker's main loop: ingest batches until told (or observed,
-/// via channel disconnect) that the stream is over, applying pending
-/// control-plane requests between batches (and on an idle tick, with
-/// exponential backoff while the shard stays quiet), then seal every
-/// flow and deliver the tail.
-fn worker_loop(mut state: ShardState, rx: Receiver<ShardMsg>, deliver: Deliver, worker: usize) {
-    use std::sync::mpsc::RecvTimeoutError;
-    let mut poll = CONTROL_POLL;
-    loop {
-        match rx.recv_timeout(poll) {
-            Ok(ShardMsg::Batch(batch)) => {
-                poll = CONTROL_POLL;
-                let n = batch.len() as u64;
-                state.ingest_batch(batch);
-                state.control.depth_sub(worker, n);
-                state.apply_control();
-                deliver.send(state.take_events());
-            }
-            Ok(ShardMsg::Finish) | Err(RecvTimeoutError::Disconnected) => break,
-            Err(RecvTimeoutError::Timeout) => {
-                // Reset the backoff when a request actually arrived —
-                // an operator steering an idle monitor gets ticks at
-                // full rate again.
-                if state.apply_control() {
-                    poll = CONTROL_POLL;
-                } else {
-                    poll = (poll * 2).min(CONTROL_POLL_MAX);
-                }
-                deliver.send(state.take_events());
-            }
-        }
+        state.apply_control();
+        queue.push_batch(state.take_events());
     }
     state.finish();
-    deliver.send(state.take_events());
+    queue.push_batch(state.take_events());
 }
 
 /// A passive QoE monitor: feed it raw packets, read typed [`QoeEvent`]s.
@@ -1086,19 +977,11 @@ pub struct Monitor {
     wants_rtp: bool,
     vca: VcaKind,
     stats: Arc<StatsCells>,
-    /// The bounded collector every shard pushes into (unused when a sink
-    /// is configured, but kept so `pending_events` stays cheap).
+    /// The bounded collector every shard pushes into.
     queue: Arc<EventQueue>,
     /// Control-plane cells shared with every [`MonitorHandle`].
     control: Arc<ControlShared>,
-    deliver: Deliver,
     dispatch: Dispatch,
-    /// Whether a full ingest channel must be answered by draining the
-    /// event queue into staging (true only when workers can park on it:
-    /// threaded + `Block` + no sink) — see [`dispatch_batch`].
-    stage_on_full: bool,
-    /// Staging buffer backing the `drain_events` iterator.
-    drained: VecDeque<Arc<QoeEvent>>,
 }
 
 /// The per-worker slice of the monitor: a partition of the flow table
@@ -1117,8 +1000,8 @@ struct ShardState {
     flush_after: Option<u32>,
     /// Window length in µs, for anchoring method upgrades.
     window_us: i64,
-    /// This shard's worker index (0 on an inline monitor) — the slot it
-    /// publishes its flow footprint under.
+    /// This shard's worker index (0 on an inline monitor) — its control
+    /// mailbox and the slot it publishes its flow footprint under.
     worker: usize,
     /// Per-flow engines *and* facade bookkeeping, together in the table's
     /// entry slab: one [`FlowKey::hash64`] and one probe per packet.
@@ -1134,12 +1017,8 @@ struct ShardState {
     behind_streak: u32,
     last_evict_us: i64,
     stats: Arc<StatsCells>,
-    /// Control-plane cells this shard polls between batches.
+    /// Control-plane cells, including this shard's request mailbox.
     control: Arc<ControlShared>,
-    /// Last flush epoch applied (see [`MonitorHandle::force_flush`]).
-    seen_flush_epoch: u64,
-    /// Cursor into the shared eviction-request list.
-    evict_cursor: usize,
     /// Events produced since the last `take_events` (per-flow order is
     /// append order). Wrapped at emission: the `Arc` is the unit of
     /// delivery everywhere downstream.
@@ -1160,10 +1039,12 @@ impl Monitor {
     /// A cloneable live [`MonitorHandle`]: snapshot counters, force a
     /// provisional flush, evict a flow, retune alert thresholds, or
     /// request a graceful stop — from any thread, without touching the
-    /// monitor's `&mut` ingest surface. Shard workers apply control
-    /// requests between batches (or within one poll tick when idle); an
-    /// inline monitor applies them on its next `ingest`/`drain` call.
-    /// The handle stays readable after [`Monitor::finish`].
+    /// monitor's `&mut` ingest surface. Each shard has a control
+    /// mailbox: a shard worker empties its own after every batch, and an
+    /// idle worker is woken to do so; an inline monitor applies requests
+    /// on its next `ingest`/`drain` call. The handle stays readable
+    /// after [`Monitor::finish`], and holding one never keeps a dropped
+    /// monitor's workers alive.
     pub fn handle(&self) -> MonitorHandle {
         MonitorHandle {
             control: Arc::clone(&self.control),
@@ -1200,8 +1081,8 @@ impl Monitor {
         }
     }
 
-    /// Queued events not yet drained (always 0 when a sink is set; on a
-    /// threaded monitor, what the shard workers have delivered so far).
+    /// Queued events not yet drained (on a threaded monitor, what the
+    /// shard workers have delivered so far).
     pub fn pending_events(&self) -> usize {
         self.queue.len()
     }
@@ -1214,8 +1095,7 @@ impl Monitor {
     /// [`OverflowPolicy::DropOldest`], the batch leads with a
     /// [`QoeEvent::Dropped`] marker counting them.
     pub fn drain_events(&mut self) -> impl Iterator<Item = QoeEvent> + '_ {
-        self.drain_pending();
-        self.drained.drain(..).map(unshare)
+        self.drain_pending().into_iter().map(unshare)
     }
 
     /// [`Monitor::drain_events`] without unsharing: the events come out
@@ -1223,53 +1103,57 @@ impl Monitor {
     /// (the runner's event bus) can hand the same allocation to any
     /// number of subscribers.
     pub fn drain_shared(&mut self) -> impl Iterator<Item = Arc<QoeEvent>> + '_ {
-        self.drain_pending();
-        self.drained.drain(..)
+        self.drain_pending().into_iter()
     }
 
-    /// Flushes ingest batches, applies pending control requests on an
-    /// inline monitor, and pulls everything queued into staging.
-    fn drain_pending(&mut self) {
-        self.flush_ingest();
-        if let Dispatch::Inline(shard) = &mut self.dispatch {
-            shard.apply_control();
-            let events = shard.take_events();
-            self.deliver.send(events);
+    /// Flushes ingest batches (threaded) or applies pending control
+    /// requests (inline), then takes the router's staged events followed
+    /// by everything queued.
+    fn drain_pending(&mut self) -> Vec<Arc<QoeEvent>> {
+        let mut staged = match &mut self.dispatch {
+            Dispatch::Inline(shard) => {
+                shard.apply_control();
+                self.queue.push_batch(shard.take_events());
+                Vec::new()
+            }
+            Dispatch::Threaded { router, .. } => {
+                router.flush();
+                std::mem::take(&mut router.staged)
+            }
+            Dispatch::Done => Vec::new(),
+        };
+        let queued = self.queue.drain();
+        if staged.is_empty() {
+            return queued;
         }
-        let batch = self.queue.drain();
-        self.drained.extend(batch);
+        staged.extend(queued);
+        staged
     }
 
     // -- ingestion ---------------------------------------------------------
 
     /// Ingests one raw link-layer (Ethernet II) frame.
     pub fn ingest_frame(&mut self, ts: Timestamp, frame: &[u8]) {
-        match parse_frame(ts, frame, self.wants_rtp) {
-            Ok((flow, pkt)) => self.ingest_packet(flow, pkt),
-            Err(reason) => self.drop_packet(ts, reason),
-        }
+        let parsed = parse_frame(ts, frame, self.wants_rtp);
+        self.route(ts, parsed);
     }
 
     /// Ingests one raw IP packet (pcap `LINKTYPE_RAW` and friends).
     pub fn ingest_ip(&mut self, ts: Timestamp, bytes: &[u8]) {
-        match parse_ip(ts, bytes, self.wants_rtp) {
-            Ok((flow, pkt)) => self.ingest_packet(flow, pkt),
-            Err(reason) => self.drop_packet(ts, reason),
-        }
+        let parsed = parse_ip(ts, bytes, self.wants_rtp);
+        self.route(ts, parsed);
     }
 
     /// Ingests one pcap record, dispatching on the file's link type.
     pub fn ingest_pcap_record(&mut self, link: LinkType, rec: &PcapRecord) {
-        match parse_record(link, rec, self.wants_rtp) {
-            Ok((flow, pkt)) => self.ingest_packet(flow, pkt),
-            Err(reason) => self.drop_packet(rec.ts, reason),
-        }
+        let parsed = parse_record(link, rec, self.wants_rtp);
+        self.route(rec.ts, parsed);
     }
 
     /// Ingests one decoded capture (timestamp + UDP datagram).
     pub fn ingest_captured(&mut self, cap: &CapturedPacket) {
-        let (flow, pkt) = datagram_packet(cap.ts, &cap.datagram, self.wants_rtp);
-        self.ingest_packet(flow, pkt);
+        let parsed = datagram_packet(cap.ts, &cap.datagram, self.wants_rtp);
+        self.route(cap.ts, Ok(parsed));
     }
 
     /// Ingests one pre-parsed packet on an explicit flow — the entry point
@@ -1284,57 +1168,41 @@ impl Monitor {
     /// [`Monitor::drain_events`]), so a worker parked on a full `Block`
     /// queue is always woken and the pipeline cannot deadlock on itself.
     pub fn ingest_packet(&mut self, flow: FlowKey, pkt: TracePacket) {
-        if pkt.ts.as_micros() < 0 {
-            self.drop_packet(pkt.ts, ParseDropReason::NegativeTimestamp);
-            return;
-        }
-        let Monitor {
-            dispatch,
-            deliver,
-            queue,
-            control,
-            drained,
-            stage_on_full,
-            ..
-        } = self;
-        match dispatch {
+        self.route(pkt.ts, Ok((flow, pkt)));
+    }
+
+    /// Ingests one packet from a [`crate::source::PacketSource`] — the
+    /// runner's sequential path.
+    pub(crate) fn ingest_source(&mut self, pkt: SourcePacket) {
+        let (ts, parsed) = parse_source(pkt, self.wants_rtp);
+        self.route(ts, parsed);
+    }
+
+    /// Hands one parse outcome to the threaded router, or runs it through
+    /// the inline shard and delivers what it produced.
+    fn route(&mut self, ts: Timestamp, parsed: Parsed) {
+        match &mut self.dispatch {
+            Dispatch::Threaded { router, .. } => router.route(ts, parsed),
             Dispatch::Inline(shard) => {
-                shard.ingest(flow, pkt);
-                shard.apply_control();
-                let events = shard.take_events();
-                deliver.send(events);
-            }
-            Dispatch::Threaded {
-                senders, batches, ..
-            } => {
-                let hash = flow.hash64();
-                let worker = worker_of(hash, senders.len());
-                batches[worker].push((hash, flow, pkt));
-                if batches[worker].len() >= INGEST_BATCH {
-                    let batch =
-                        std::mem::replace(&mut batches[worker], Vec::with_capacity(INGEST_BATCH));
-                    dispatch_batch(
-                        &senders[worker],
-                        queue,
-                        drained,
-                        *stage_on_full,
-                        control,
-                        worker,
-                        batch,
-                    );
+                match admit(parsed) {
+                    Ok((flow, pkt)) => shard.ingest(flow, pkt),
+                    Err(reason) => {
+                        shard.stats.parse_drops.fetch_add(1, Relaxed);
+                        shard.emit(QoeEvent::ParseDrop { ts, reason });
+                    }
                 }
+                shard.apply_control();
+                self.queue.push_batch(shard.take_events());
             }
             Dispatch::Done => unreachable!("monitor already finished"),
         }
     }
 
     /// Seals and reports every remaining flow, returning all queued
-    /// events (when a sink is set they have already been delivered and
-    /// the returned list holds only what the sink had not consumed —
-    /// i.e. nothing). On a threaded monitor this flushes every pending
-    /// ingest batch, signals end-of-stream to each shard worker, joins
-    /// them, and drains whatever they delivered — the end-of-stream flush
-    /// neither blocks on nor is dropped by the bounded queue.
+    /// events. On a threaded monitor this flushes every pending ingest
+    /// batch, disconnects each shard worker's channel (end of stream),
+    /// joins them, and drains whatever they delivered — the end-of-stream
+    /// flush neither blocks on nor is dropped by the bounded queue.
     pub fn finish(self) -> Vec<QoeEvent> {
         self.finish_shared().into_iter().map(unshare).collect()
     }
@@ -1347,31 +1215,22 @@ impl Monitor {
         // a queue nobody is draining yet nor have those tails shed by
         // DropOldest — the end-of-stream flush is lossless by contract.
         self.queue.release();
-        let mut out: Vec<Arc<QoeEvent>> = self.drained.drain(..).collect();
+        let mut out = Vec::new();
         match std::mem::replace(&mut self.dispatch, Dispatch::Done) {
             Dispatch::Inline(mut shard) => {
                 shard.finish();
-                self.deliver.send(shard.take_events());
+                self.queue.push_batch(shard.take_events());
             }
             Dispatch::Threaded {
-                senders,
-                mut batches,
+                mut router,
                 handles,
             } => {
-                // Blocking sends are safe here: the released queue never
-                // parks a worker, so every channel drains.
-                for (worker, batch) in batches.drain(..).enumerate() {
-                    if !batch.is_empty() {
-                        self.control.depth_add(worker, batch.len() as u64);
-                        senders[worker]
-                            .send(ShardMsg::Batch(batch))
-                            .expect("shard worker alive"); // lint: allow(no-unwrap-in-lib) -- shard worker channel lives until the join below
-                    }
-                }
-                for tx in &senders {
-                    tx.send(ShardMsg::Finish).expect("shard worker alive"); // lint: allow(no-unwrap-in-lib) -- shard worker channel lives until the join below
-                }
-                drop(senders);
+                // The released queue never parks a worker, so every
+                // channel drains and this flush completes.
+                router.flush();
+                out = std::mem::take(&mut router.staged);
+                drop(router);
+                self.control.close();
                 for handle in handles {
                     handle.join().expect("shard worker panicked"); // lint: allow(no-unwrap-in-lib) -- join re-raises a worker panic instead of hiding it
                 }
@@ -1382,85 +1241,29 @@ impl Monitor {
         out
     }
 
-    // -- internals ---------------------------------------------------------
-
-    /// Sends every partially filled ingest batch to its shard worker
-    /// (no-op on an inline monitor).
-    fn flush_ingest(&mut self) {
-        let Monitor {
-            dispatch,
-            queue,
-            control,
-            drained,
-            stage_on_full,
-            ..
-        } = self;
-        if let Dispatch::Threaded {
-            senders, batches, ..
-        } = dispatch
-        {
-            for (worker, batch) in batches.iter_mut().enumerate() {
-                if !batch.is_empty() {
-                    let batch = std::mem::take(batch);
-                    dispatch_batch(
-                        &senders[worker],
-                        queue,
-                        drained,
-                        *stage_on_full,
-                        control,
-                        worker,
-                        batch,
-                    );
-                }
-            }
-        }
-    }
-
-    fn drop_packet(&mut self, ts: Timestamp, reason: ParseDropReason) {
-        self.stats.parse_drops.fetch_add(1, Relaxed);
-        let event = Arc::new(QoeEvent::ParseDrop { ts, reason });
-        match &self.deliver {
-            // The caller *is* the queue's consumer: parking here against
-            // a full Block queue would be waiting on itself (workers only
-            // widen the queue, they never drain it), so the drop marker
-            // goes in without waiting.
-            Deliver::Queue(queue) => queue.push_nowait(vec![event]),
-            Deliver::Sink(_) => self.deliver.send(vec![event]),
-        }
-    }
-
-    /// Opens an independent ingest port on a threaded monitor (`None`
-    /// when the monitor is inline). Ports are how
+    /// A new ingest router on a threaded monitor's shard channels (`None`
+    /// when the monitor is inline). This is how
     /// [`crate::runner::MonitorRunner`] runs one ingest thread per
-    /// source: each port parses and flow-hashes its own packets and
+    /// source: each router parses and flow-hashes its own packets and
     /// feeds the shard channels directly, so the serial dispatch section
-    /// scales with the number of sources. See [`IngestPort`] for the
+    /// scales with the number of sources. See [`IngestRouter`] for the
     /// concurrent-drainer requirement its holder takes on.
-    pub(crate) fn ingest_port(&self) -> Option<IngestPort> {
+    pub(crate) fn ingest_router(&self) -> Option<IngestRouter> {
         match &self.dispatch {
-            Dispatch::Threaded { senders, .. } => Some(IngestPort {
-                wants_rtp: self.wants_rtp,
-                stats: Arc::clone(&self.stats),
-                control: Arc::clone(&self.control),
-                deliver: self.deliver.clone(),
-                batches: senders.iter().map(|_| Vec::new()).collect(),
-                senders: senders.clone(),
-                drops: Vec::new(),
-            }),
+            Dispatch::Threaded { router, .. } => Some(router.fork()),
             Dispatch::Inline(_) | Dispatch::Done => None,
         }
     }
 }
 
-// -- stateless raw-bytes decode (Monitor + IngestPort share it) ------------
+// -- stateless raw-bytes decode (Monitor + IngestRouter share it) ----------
+
+/// A parse outcome: a flow-keyed packet, or why it was dropped.
+type Parsed = Result<(FlowKey, TracePacket), ParseDropReason>;
 
 /// Decodes one Ethernet II frame into a flow-keyed [`TracePacket`],
 /// attempting the RTP parse when any configured method consumes it.
-pub(crate) fn parse_frame(
-    ts: Timestamp,
-    frame: &[u8],
-    wants_rtp: bool,
-) -> Result<(FlowKey, TracePacket), ParseDropReason> {
+fn parse_frame(ts: Timestamp, frame: &[u8], wants_rtp: bool) -> Parsed {
     match UdpDatagram::parse(frame) {
         Ok(Some(dg)) => Ok(datagram_packet(ts, &dg, wants_rtp)),
         Ok(None) => Err(ParseDropReason::NotUdp),
@@ -1469,11 +1272,7 @@ pub(crate) fn parse_frame(
 }
 
 /// Decodes one raw IP packet (v4 or v6 by version nibble).
-pub(crate) fn parse_ip(
-    ts: Timestamp,
-    bytes: &[u8],
-    wants_rtp: bool,
-) -> Result<(FlowKey, TracePacket), ParseDropReason> {
+fn parse_ip(ts: Timestamp, bytes: &[u8], wants_rtp: bool) -> Parsed {
     let parsed = match bytes.first().map(|b| b >> 4) {
         Some(4) => UdpDatagram::parse_ipv4(bytes),
         Some(6) => UdpDatagram::parse_ipv6(bytes),
@@ -1497,11 +1296,7 @@ pub(crate) fn parse_ip(
 /// Decodes one pcap record, dispatching on the file's link type. The
 /// record's buffer is `Bytes`-backed, so the decoded datagram's payload
 /// is a zero-copy slice of it — no per-packet payload allocation.
-pub(crate) fn parse_record(
-    link: LinkType,
-    rec: &PcapRecord,
-    wants_rtp: bool,
-) -> Result<(FlowKey, TracePacket), ParseDropReason> {
+fn parse_record(link: LinkType, rec: &PcapRecord, wants_rtp: bool) -> Parsed {
     let parsed = match link {
         LinkType::Ethernet => UdpDatagram::parse_shared(&rec.data),
         LinkType::RawIp => match rec.data.first().map(|b| b >> 4) {
@@ -1536,11 +1331,7 @@ pub(crate) fn parse_record(
 /// and the header feeds the RTP engines. Non-RTP payloads simply leave
 /// `rtp` empty; fixed IP/UDP monitors (the paper's no-RTP-access
 /// deployment) skip the attempt entirely — nothing consumes it.
-pub(crate) fn datagram_packet(
-    ts: Timestamp,
-    dg: &UdpDatagram,
-    wants_rtp: bool,
-) -> (FlowKey, TracePacket) {
+fn datagram_packet(ts: Timestamp, dg: &UdpDatagram, wants_rtp: bool) -> (FlowKey, TracePacket) {
     let (flow, _) = dg.flow_key();
     let rtp = if wants_rtp {
         RtpHeader::parse(&dg.payload).ok()
@@ -1558,131 +1349,188 @@ pub(crate) fn datagram_packet(
     )
 }
 
-/// One source's private lane into a threaded monitor's shard workers:
-/// parse, flow-hash, batch, and send happen on the port holder's thread,
-/// so N ports ingest in parallel without sharing the [`Monitor`]'s
-/// `&mut self`. Per-flow packet order within one port is preserved
-/// end-to-end (same hash, same channel, same worker); packets for one
-/// flow split across ports interleave in channel-arrival order.
+/// Parses one source packet, returning its capture time with the outcome.
+fn parse_source(pkt: SourcePacket, wants_rtp: bool) -> (Timestamp, Parsed) {
+    match pkt {
+        SourcePacket::Record { link, record } => {
+            (record.ts, parse_record(link, &record, wants_rtp))
+        }
+        SourcePacket::Captured(cap) => (
+            cap.ts,
+            Ok(datagram_packet(cap.ts, &cap.datagram, wants_rtp)),
+        ),
+        SourcePacket::Parsed { flow, packet } => (packet.ts, Ok((flow, packet))),
+    }
+}
+
+/// The admission check every ingest path applies after parsing: a packet
+/// stamped before the epoch falls outside every window.
+fn admit(parsed: Parsed) -> Parsed {
+    parsed.and_then(|(flow, pkt)| {
+        if pkt.ts.as_micros() < 0 {
+            Err(ParseDropReason::NegativeTimestamp)
+        } else {
+            Ok((flow, pkt))
+        }
+    })
+}
+
+/// A threaded monitor's ingest router: parse outcome in, flow-hashed
+/// [`INGEST_BATCH`]-packet batches out to the shard workers' bounded
+/// channels, with parse drops counted and delivered in batches too. The
+/// monitor owns one, and [`Monitor::ingest_router`] forks one per
+/// runner source, so N sources ingest in parallel without sharing the
+/// monitor's `&mut self`. Per-flow packet order within one router is
+/// preserved end-to-end (same hash, same channel, same worker); packets
+/// for one flow split across routers interleave in channel-arrival order.
 ///
-/// Sends block when a shard channel is full — ingest-side backpressure.
-/// The holder must guarantee a concurrent drainer (the runner's event
-/// loop), or a `Block` queue can park the pipeline; this is why ports
-/// are crate-internal and only [`crate::runner::MonitorRunner`] hands
-/// them out.
-pub(crate) struct IngestPort {
+/// A full channel is ingest-side backpressure. A forked router waits on
+/// it, so its holder must guarantee a concurrent drainer (the runner's
+/// event loop) or a `Block` queue can park the pipeline; this is why
+/// routers are crate-internal. The monitor's own router serves a caller
+/// that is itself the drainer, so it stages instead (see
+/// [`IngestRouter::send`]).
+pub(crate) struct IngestRouter {
     wants_rtp: bool,
     stats: Arc<StatsCells>,
     control: Arc<ControlShared>,
-    deliver: Deliver,
+    queue: Arc<EventQueue>,
     senders: Vec<SyncSender<ShardMsg>>,
     batches: Vec<Vec<RoutedPacket>>,
     /// Parse-drop events not yet delivered: handed over once per
-    /// [`INGEST_BATCH`] drops and on every [`IngestPort::flush`], so a
+    /// [`INGEST_BATCH`] drops and on every [`IngestRouter::flush`], so a
     /// TCP-heavy tap takes the event-queue lock once per batch rather
     /// than once per dropped frame.
     drops: Vec<Arc<QoeEvent>>,
+    /// Set on the monitor's own router under [`OverflowPolicy::Block`]:
+    /// its caller drains the queue, so a full channel is answered by
+    /// draining into `staged` and drops never wait on the queue.
+    stage_on_full: bool,
+    /// Events drained while waiting on a full channel, returned ahead of
+    /// the queue by the monitor's next drain.
+    staged: Vec<Arc<QoeEvent>>,
 }
 
-impl IngestPort {
-    /// Ingests one pcap record, dispatching on the file's link type.
-    pub(crate) fn ingest_pcap_record(&mut self, link: LinkType, rec: &PcapRecord) {
-        match parse_record(link, rec, self.wants_rtp) {
-            Ok((flow, pkt)) => self.ingest_packet(flow, pkt),
-            Err(reason) => self.drop_packet(rec.ts, reason),
+impl IngestRouter {
+    /// A new router on the same shard channels for a thread whose events
+    /// someone else drains: it waits on a full channel instead of staging.
+    fn fork(&self) -> Self {
+        IngestRouter {
+            wants_rtp: self.wants_rtp,
+            stats: Arc::clone(&self.stats),
+            control: Arc::clone(&self.control),
+            queue: Arc::clone(&self.queue),
+            senders: self.senders.clone(),
+            batches: self.senders.iter().map(|_| Vec::new()).collect(),
+            drops: Vec::new(),
+            stage_on_full: false,
+            staged: Vec::new(),
         }
     }
 
-    /// Ingests one decoded capture (timestamp + UDP datagram).
-    pub(crate) fn ingest_captured(&mut self, cap: &CapturedPacket) {
-        let (flow, pkt) = datagram_packet(cap.ts, &cap.datagram, self.wants_rtp);
-        self.ingest_packet(flow, pkt);
+    /// Ingests one packet from a [`crate::source::PacketSource`].
+    pub(crate) fn ingest(&mut self, pkt: SourcePacket) {
+        let (ts, parsed) = parse_source(pkt, self.wants_rtp);
+        self.route(ts, parsed);
     }
 
-    /// Ingests one pre-parsed packet on an explicit flow.
-    pub(crate) fn ingest_packet(&mut self, flow: FlowKey, pkt: TracePacket) {
-        if pkt.ts.as_micros() < 0 {
-            self.drop_packet(pkt.ts, ParseDropReason::NegativeTimestamp);
-            return;
-        }
-        let hash = flow.hash64();
-        let worker = worker_of(hash, self.senders.len());
-        self.batches[worker].push((hash, flow, pkt));
-        if self.batches[worker].len() >= INGEST_BATCH {
-            let batch =
-                std::mem::replace(&mut self.batches[worker], Vec::with_capacity(INGEST_BATCH));
-            self.control.depth_add(worker, batch.len() as u64);
-            self.senders[worker]
-                .send(ShardMsg::Batch(batch))
-                .expect("shard workers outlive ingest ports"); // lint: allow(no-unwrap-in-lib) -- ingest ports are dropped before shard workers shut down
-        }
-    }
-
-    /// Sends every partially filled batch to its shard worker and
-    /// delivers any pending parse drops. Call before dropping the port
-    /// so no tail packet is left behind.
-    pub(crate) fn flush(&mut self) {
-        self.deliver_drops(Vec::new());
-        for (worker, batch) in self.batches.iter_mut().enumerate() {
-            if !batch.is_empty() {
-                let batch = std::mem::take(batch);
-                self.control.depth_add(worker, batch.len() as u64);
-                self.senders[worker]
-                    .send(ShardMsg::Batch(batch))
-                    .expect("shard workers outlive ingest ports"); // lint: allow(no-unwrap-in-lib) -- ingest ports are dropped before shard workers shut down
+    /// Batches an admitted packet for its flow's worker, or accounts for
+    /// the drop.
+    fn route(&mut self, ts: Timestamp, parsed: Parsed) {
+        match admit(parsed) {
+            Ok((flow, pkt)) => {
+                let hash = flow.hash64();
+                let worker = worker_of(hash, self.senders.len());
+                self.batches[worker].push((hash, flow, pkt));
+                if self.batches[worker].len() >= INGEST_BATCH {
+                    let batch = std::mem::replace(
+                        &mut self.batches[worker],
+                        Vec::with_capacity(INGEST_BATCH),
+                    );
+                    self.send(worker, batch);
+                }
+            }
+            Err(reason) => {
+                self.stats.parse_drops.fetch_add(1, Relaxed);
+                self.drops
+                    .push(Arc::new(QoeEvent::ParseDrop { ts, reason }));
+                if self.drops.len() >= INGEST_BATCH {
+                    self.deliver_drops();
+                }
             }
         }
     }
 
-    fn drop_packet(&mut self, ts: Timestamp, reason: ParseDropReason) {
-        self.stats.parse_drops.fetch_add(1, Relaxed);
-        self.drops
-            .push(Arc::new(QoeEvent::ParseDrop { ts, reason }));
-        if self.drops.len() >= INGEST_BATCH {
-            self.deliver_drops(Vec::with_capacity(INGEST_BATCH));
+    /// Sends every partially filled batch to its shard worker and
+    /// delivers any pending parse drops. Call before dropping the router
+    /// so no tail packet is left behind.
+    pub(crate) fn flush(&mut self) {
+        self.deliver_drops();
+        for worker in 0..self.senders.len() {
+            if !self.batches[worker].is_empty() {
+                let batch = std::mem::take(&mut self.batches[worker]);
+                self.send(worker, batch);
+            }
         }
     }
 
-    /// Delivers the pending parse drops (if any), leaving `spare` as the
-    /// new accumulator.
-    fn deliver_drops(&mut self, spare: Vec<Arc<QoeEvent>>) {
-        let drops = std::mem::replace(&mut self.drops, spare);
-        // Unlike Monitor::drop_packet this may park against a full Block
-        // queue: the port holder is an ingest thread, and the runner's
-        // event loop is the concurrent drainer that frees it.
-        self.deliver.send(drops);
-    }
-}
-
-impl Drop for IngestPort {
-    /// Best-effort tail flush for ports dropped without [`IngestPort::flush`]
-    /// (ingest-thread panic): delivery is only guaranteed after an
-    /// explicit flush, but don't silently strand full batches either.
-    fn drop(&mut self) {
-        // Delivering to a sink whose lock a failed peer poisoned panics;
-        // while unwinding that would abort the process, so a panicking
-        // ingest thread leaves its pending drop markers undelivered (the
-        // `parse_drops` counter already has them).
-        if !std::thread::panicking() {
-            self.deliver_drops(Vec::new());
+    fn deliver_drops(&mut self) {
+        let drops = std::mem::take(&mut self.drops);
+        // The monitor's own caller *is* the queue's consumer: parking
+        // against a full Block queue would be waiting on itself.
+        if self.stage_on_full {
+            self.queue.push_nowait(drops);
+        } else {
+            self.queue.push_batch(drops);
         }
-        for (worker, batch) in self.batches.iter_mut().enumerate() {
-            if !batch.is_empty() {
-                let batch = std::mem::take(batch);
-                self.control.depth_add(worker, batch.len() as u64);
-                let _ = self.senders[worker].send(ShardMsg::Batch(batch));
+    }
+
+    /// Hands one batch to a shard worker without ever deadlocking on our
+    /// own pipeline. Under [`OverflowPolicy::Block`] a worker can be
+    /// parked on the full event queue while this router waits on that
+    /// worker's full channel — each waiting on the other — so when the
+    /// caller is also the drainer (`stage_on_full`) a full channel is
+    /// answered by draining the queue, which wakes the worker, and
+    /// staging the events for the caller's next drain. Otherwise a plain
+    /// blocking send is both safe and required: draining would quietly
+    /// turn the bounded queue into unbounded staging.
+    fn send(&mut self, worker: usize, batch: Vec<RoutedPacket>) {
+        self.control.depth_add(worker, batch.len() as u64);
+        let mut msg = ShardMsg::Batch(batch);
+        if !self.stage_on_full {
+            self.senders[worker]
+                .send(msg)
+                .expect("shard workers outlive ingest routers"); // lint: allow(no-unwrap-in-lib) -- shard workers are joined only after every router is dropped
+            return;
+        }
+        loop {
+            match self.senders[worker].try_send(msg) {
+                Ok(()) => return,
+                Err(TrySendError::Full(back)) => {
+                    msg = back;
+                    let events = self.queue.drain();
+                    if events.is_empty() {
+                        // Channel full, queue empty: the worker is mid-batch.
+                        std::thread::yield_now();
+                    }
+                    self.staged.extend(events);
+                }
+                Err(TrySendError::Disconnected(_)) => {
+                    unreachable!("shard workers outlive ingest routers")
+                }
             }
         }
     }
 }
 
 /// Stable flow → worker routing: the low bits of the one
-/// [`FlowKey::hash64`] computed per packet on the dispatching thread.
-/// The hash rides the channel with the packet; inside a worker the
-/// table's shard selection takes the top 16 bits and slot probing
-/// starts from bits 16.., so the three routing layers stay uncorrelated
-/// while the key is hashed exactly once (see [`FlowTable`]).
-fn worker_of(hash: u64, n_workers: usize) -> usize {
+/// [`FlowKey::hash64`] computed per packet on the routing thread. The
+/// hash rides the channel with the packet; inside a worker the table's
+/// shard selection takes the top 16 bits and slot probing starts from
+/// bits 16.., so the three routing layers stay uncorrelated while the key
+/// is hashed exactly once (see [`FlowTable`]). Control requests for a
+/// flow reach the same worker's mailbox through it.
+pub(crate) fn worker_of(hash: u64, n_workers: usize) -> usize {
     (hash % n_workers as u64) as usize
 }
 
@@ -1756,20 +1604,10 @@ impl ShardState {
             }
         };
         for report in reports.drain(..) {
-            self.stats.window_reports.fetch_add(1, Relaxed);
-            self.emit(QoeEvent::WindowReport {
-                flow,
-                report,
-                provisional: false,
-            });
+            self.emit_window(flow, report, false);
         }
         for report in snapshots.drain(..) {
-            self.stats.provisional_reports.fetch_add(1, Relaxed);
-            self.emit(QoeEvent::WindowReport {
-                flow,
-                report,
-                provisional: true,
-            });
+            self.emit_window(flow, report, true);
         }
         self.reports = reports;
         self.snapshots = snapshots;
@@ -1838,30 +1676,19 @@ impl ShardState {
         std::mem::take(&mut self.out)
     }
 
-    /// Applies pending control-plane requests ([`MonitorHandle`]): a
-    /// forced provisional flush of every flow, and requested evictions
-    /// of flows this shard owns. Cheap when nothing is pending — two
-    /// relaxed atomic loads. Returns whether anything was applied (the
-    /// idle workers' poll-backoff reset signal).
-    fn apply_control(&mut self) -> bool {
-        let mut applied = false;
-        let epoch = self.control.flush_epoch();
-        if epoch != self.seen_flush_epoch {
-            self.seen_flush_epoch = epoch;
-            self.flush_all_provisional();
-            applied = true;
-        }
-        // Fast path first: the Arc clone below is only worth paying
-        // when a request actually exists (it satisfies the borrow
-        // checker across the &mut self eviction calls).
-        if self.control.has_evictions_since(self.evict_cursor) {
-            let control = Arc::clone(&self.control);
-            for flow in control.evictions_since(&mut self.evict_cursor) {
+    /// Applies and empties this shard's control mailbox
+    /// ([`MonitorHandle`]): a forced provisional flush of every flow,
+    /// then the requested evictions (all of flows this shard owns).
+    /// Cheap when nothing is pending — one relaxed atomic load.
+    fn apply_control(&mut self) {
+        if let Some(requests) = self.control.take_requests(self.worker) {
+            if requests.flush {
+                self.flush_all_provisional();
+            }
+            for flow in requests.evict {
                 self.evict_requested(flow);
             }
-            applied = true;
         }
-        applied
     }
 
     /// Emits provisional snapshots of every tracked flow's pending
@@ -1877,12 +1704,7 @@ impl ShardState {
         });
         for (flow, reports) in snapshots {
             for report in reports {
-                self.stats.provisional_reports.fetch_add(1, Relaxed);
-                self.emit(QoeEvent::WindowReport {
-                    flow,
-                    report,
-                    provisional: true,
-                });
+                self.emit_window(flow, report, true);
             }
         }
     }
@@ -1890,9 +1712,8 @@ impl ShardState {
     /// Seals one flow on operator request, surfacing its tail windows —
     /// [`MonitorHandle::evict_flow`]. A flow still in probation is
     /// resolved first (its buffered packets replay through the decided
-    /// engine), so even a young flow's windows surface. Flows this shard
-    /// does not own are ignored (their owner processes the same
-    /// request).
+    /// engine), so even a young flow's windows surface. Unknown flows are
+    /// ignored.
     fn evict_requested(&mut self, flow: FlowKey) {
         if self.pending.contains_key(&flow) {
             self.resolve_pending(flow);
@@ -1991,20 +1812,10 @@ impl ShardState {
             }
         }
         for report in reports.drain(..) {
-            self.stats.window_reports.fetch_add(1, Relaxed);
-            self.emit(QoeEvent::WindowReport {
-                flow,
-                report,
-                provisional: false,
-            });
+            self.emit_window(flow, report, false);
         }
         for report in snapshots.drain(..) {
-            self.stats.provisional_reports.fetch_add(1, Relaxed);
-            self.emit(QoeEvent::WindowReport {
-                flow,
-                report,
-                provisional: true,
-            });
+            self.emit_window(flow, report, true);
         }
         self.reports = reports;
         self.snapshots = snapshots;
@@ -2029,16 +1840,7 @@ impl ShardState {
         let anchor = (pkt.ts.as_micros().div_euclid(self.window_us)) as u64;
         for report in old.engine.finish() {
             let provisional = report.window >= anchor;
-            if provisional {
-                self.stats.provisional_reports.fetch_add(1, Relaxed);
-            } else {
-                self.stats.window_reports.fetch_add(1, Relaxed);
-            }
-            self.emit(QoeEvent::WindowReport {
-                flow,
-                report,
-                provisional,
-            });
+            self.emit_window(flow, report, provisional);
         }
         let engine = build_engine(
             self.method.preferred(),
@@ -2103,6 +1905,21 @@ impl ShardState {
         });
     }
 
+    /// Emits one window report, counted as final or provisional.
+    fn emit_window(&mut self, flow: FlowKey, report: WindowReport, provisional: bool) {
+        let counter = if provisional {
+            &self.stats.provisional_reports
+        } else {
+            &self.stats.window_reports
+        };
+        counter.fetch_add(1, Relaxed);
+        self.emit(QoeEvent::WindowReport {
+            flow,
+            report,
+            provisional,
+        });
+    }
+
     fn emit(&mut self, event: QoeEvent) {
         self.out.push(Arc::new(event));
     }
@@ -2112,17 +1929,18 @@ impl Drop for Monitor {
     /// A monitor dropped without [`Monitor::finish`] (caller panic,
     /// early return) must not leak shard workers parked on the bounded
     /// queue: release the queue so nothing waits, disconnect the
-    /// channels so the workers run their end-of-stream seal and exit,
-    /// and reap the threads. The tail events land in the released queue
-    /// and are dropped with it — only `finish` promises delivery.
+    /// channels (the router's senders and every handle's wakers) so the
+    /// workers run their end-of-stream seal and exit, and reap the
+    /// threads. The tail events land in the released queue and are
+    /// dropped with it — only `finish` promises delivery.
     fn drop(&mut self) {
-        if let Dispatch::Threaded {
-            senders, handles, ..
-        } = &mut self.dispatch
+        self.queue.release();
+        self.control.close();
+        if let Dispatch::Threaded { router, handles } =
+            std::mem::replace(&mut self.dispatch, Dispatch::Done)
         {
-            self.queue.release();
-            senders.clear();
-            for handle in handles.drain(..) {
+            drop(router);
+            for handle in handles {
                 // Don't double-panic out of a Drop during unwinding.
                 let _ = handle.join();
             }
@@ -2134,7 +1952,7 @@ impl std::fmt::Debug for Monitor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let threads = match &self.dispatch {
             Dispatch::Inline(_) => 1,
-            Dispatch::Threaded { senders, .. } => senders.len(),
+            Dispatch::Threaded { router, .. } => router.senders.len(),
             Dispatch::Done => 0,
         };
         f.debug_struct("Monitor")
@@ -2480,27 +2298,6 @@ mod tests {
     }
 
     #[test]
-    fn sink_receives_events_instead_of_queue() {
-        use std::sync::{Arc, Mutex};
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let seen2 = Arc::clone(&seen);
-        let mut m = fixed(Method::IpUdpHeuristic)
-            .sink(move |e| seen2.lock().unwrap().push(e.tag()))
-            .build();
-        let flow = flow_key(1);
-        for p in video_stream(2) {
-            m.ingest_packet(flow, p);
-        }
-        assert_eq!(m.pending_events(), 0);
-        let leftover = m.finish();
-        assert!(leftover.is_empty());
-        let tags = seen.lock().unwrap();
-        assert!(tags.contains(&"flow_opened"));
-        assert!(tags.contains(&"window_report"));
-        assert!(tags.contains(&"flow_evicted"));
-    }
-
-    #[test]
     fn negative_timestamps_classified() {
         let mut m = fixed(Method::IpUdpHeuristic).build();
         m.ingest_packet(flow_key(1), pkt(-5, 1100));
@@ -2841,25 +2638,67 @@ mod tests {
         }
     }
 
+    /// A long-lived monitor receiving endless eviction requests keeps no
+    /// state for them once applied: each shard's mailbox is emptied on
+    /// application, and only the owner of a flow ever sees its request.
     #[test]
-    fn threaded_sink_receives_all_events() {
-        use std::sync::{Arc, Mutex};
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let seen2 = Arc::clone(&seen);
-        let mut m = fixed(Method::IpUdpHeuristic)
-            .threads(2)
-            .sink(move |e| seen2.lock().unwrap().push(e.tag()))
-            .build();
-        for n in 1..=4u8 {
+    fn control_requests_leave_no_state_once_applied() {
+        for threads in [1, 2] {
+            let mut m = fixed(Method::IpUdpHeuristic).threads(threads).build();
+            let live = flow_key(1);
             for p in video_stream(2) {
-                m.ingest_packet(flow_key(n), p);
+                m.ingest_packet(live, p);
             }
+            let mut events: Vec<QoeEvent> = m.drain_events().collect();
+            let handle = m.handle();
+            for n in 0..100_000u32 {
+                let client = IpAddr::V4(Ipv4Addr::from(0x0a00_0000 | (n >> 16)));
+                let (ghost, _) = FlowKey::canonical(
+                    client,
+                    n as u16,
+                    IpAddr::V4(Ipv4Addr::new(198, 51, 100, 1)),
+                    9,
+                    17,
+                );
+                handle.evict_flow(ghost);
+            }
+            handle.evict_flow(live);
+            let mailboxes_empty = |m: &Monitor| {
+                m.control.mailboxes.iter().all(|mailbox| {
+                    let requests = mailbox.requests.lock().unwrap();
+                    !requests.flush && requests.evict.is_empty()
+                })
+            };
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            loop {
+                events.extend(m.drain_events());
+                let sealed = events
+                    .iter()
+                    .any(|e| matches!(e, QoeEvent::FlowEvicted { .. }));
+                if (sealed && mailboxes_empty(&m)) || std::time::Instant::now() > deadline {
+                    break;
+                }
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+            assert!(
+                mailboxes_empty(&m),
+                "threads={threads}: requests left behind"
+            );
+            events.extend(m.finish());
+            let requested = events
+                .iter()
+                .filter(|e| {
+                    matches!(
+                        e,
+                        QoeEvent::FlowEvicted {
+                            reason: EvictReason::Requested,
+                            ..
+                        }
+                    )
+                })
+                .count();
+            assert_eq!(requested, 1, "threads={threads}");
         }
-        let leftover = m.finish();
-        assert!(leftover.is_empty());
-        let tags = seen.lock().unwrap();
-        assert_eq!(tags.iter().filter(|t| **t == "flow_opened").count(), 4);
-        assert_eq!(tags.iter().filter(|t| **t == "flow_evicted").count(), 4);
     }
 
     #[test]

@@ -22,24 +22,27 @@
 //! * [`MonitorHandle::set_alert_fps`] — retune the live
 //!   [`AlertThresholds`] every severity-filtered subscriber and shared
 //!   [`AlertSink`](crate::sink::AlertSink) reads;
-//! * [`MonitorHandle::stop`] — gracefully stop a run: ingest ports stop
+//! * [`MonitorHandle::stop`] — gracefully stop a run: ingest threads stop
 //!   pulling from their sources, in-flight packets are flushed, and the
 //!   monitor seals every flow — no event produced before the stop is
 //!   lost (a tested invariant).
 //!
-//! Control requests are applied by whichever thread owns the flow state:
-//! shard workers poll them between batches (and on a short idle tick),
-//! an inline monitor applies them on its next `ingest`/`drain` call.
-//! Handles never touch engines directly, so there is nothing to lock
-//! and a dropped or forgotten handle costs nothing.
+//! Control requests go to per-shard mailboxes, applied by whichever
+//! thread owns the flow state: a shard worker after every batch (an idle
+//! worker is woken), an inline monitor on its next `ingest`/`drain`
+//! call. Posting never blocks, and applying a mailbox empties it, so
+//! control state stays bounded however many requests a long-lived
+//! monitor receives. Handles never touch engines directly, and a
+//! dropped or forgotten handle costs nothing.
 
-use crate::api::{MonitorStats, QoeEvent, StatsCells};
+use crate::api::{worker_of, MonitorStats, QoeEvent, ShardMsg, StatsCells};
 use crate::backpressure::EventQueue;
 use crate::bus::{AlertThresholds, Severity};
 use crate::pipeline::Method;
 use serde::{Map, Serialize, Value};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::mpsc::SyncSender;
+use std::sync::{Arc, Mutex, PoisonError};
 use vcaml_netpkt::FlowKey;
 use vcaml_vcasim::VcaProfile;
 
@@ -47,17 +50,16 @@ use vcaml_vcasim::VcaProfile;
 /// workers or the inline shard) and every [`MonitorHandle`].
 #[derive(Debug)]
 pub(crate) struct ControlShared {
-    /// Graceful-stop flag; ingest ports check it between packets.
+    /// Graceful-stop flag; the runner's ingest loops check it between
+    /// packets.
     stop: AtomicBool,
-    /// Bumped by `force_flush`; shards emit provisional snapshots when
-    /// they observe a new epoch.
-    flush_epoch: AtomicU64,
-    /// Append-only eviction requests; each shard keeps a cursor and
-    /// seals the requested flows it owns.
-    evictions: Mutex<Vec<FlowKey>>,
-    /// `evictions.len()`, readable without the lock (shards skip the
-    /// lock entirely while no new request exists).
-    evict_len: AtomicUsize,
+    /// One control mailbox per shard (one on an inline monitor).
+    pub(crate) mailboxes: Vec<Mailbox>,
+    /// Wake-up senders into each shard worker's channel (empty on an
+    /// inline monitor); `None` once the monitor has shut down, so a
+    /// surviving handle neither keeps workers alive nor queues requests
+    /// nobody will apply.
+    wakers: Mutex<Option<Vec<SyncSender<ShardMsg>>>>,
     /// Live alert thresholds (severity classification + shared sinks).
     pub(crate) thresholds: AlertThresholds,
     /// Per-worker ingest backlog, in packets handed to the worker's
@@ -79,13 +81,37 @@ pub(crate) struct ControlShared {
     windows_by_method: [AtomicU64; 4],
 }
 
+/// One shard's pending control requests.
+#[derive(Debug, Default)]
+pub(crate) struct Mailbox {
+    /// Whether `requests` holds anything — the lock-free check an inline
+    /// monitor pays per packet. Written under the `requests` lock, and a
+    /// reader that sees it set takes that lock before reading anything,
+    /// so it publishes no data of its own (`Relaxed`).
+    pending: AtomicBool,
+    /// Every update is one flag store or one push, so a lock poisoned by
+    /// a panic elsewhere still guards valid requests and is recovered.
+    pub(crate) requests: Mutex<Requests>,
+}
+
+/// What a mailbox holds between two applications by its shard.
+#[derive(Debug, Default)]
+pub(crate) struct Requests {
+    /// A provisional flush of every flow is due.
+    pub(crate) flush: bool,
+    /// Flows to seal now, all owned by this shard.
+    pub(crate) evict: Vec<FlowKey>,
+}
+
 impl ControlShared {
-    pub(crate) fn new(workers: usize) -> Self {
+    /// Cells for a monitor whose shard workers listen on `wakers` (none
+    /// for an inline monitor).
+    pub(crate) fn new(wakers: Vec<SyncSender<ShardMsg>>) -> Self {
+        let workers = wakers.len();
         ControlShared {
             stop: AtomicBool::new(false),
-            flush_epoch: AtomicU64::new(0),
-            evictions: Mutex::new(Vec::new()),
-            evict_len: AtomicUsize::new(0),
+            mailboxes: (0..workers.max(1)).map(|_| Mailbox::default()).collect(),
+            wakers: Mutex::new(Some(wakers)),
             thresholds: AlertThresholds::new(),
             depths: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             flow_bytes: (0..workers.max(1)).map(|_| AtomicU64::new(0)).collect(),
@@ -119,26 +145,47 @@ impl ControlShared {
         self.stop.load(Relaxed)
     }
 
-    /// Current flush epoch (shards compare against their last seen).
-    pub(crate) fn flush_epoch(&self) -> u64 {
-        self.flush_epoch.load(Relaxed)
-    }
-
-    /// Whether requests exist past `cursor` — the lock-free (and
-    /// refcount-free) per-packet fast path.
-    pub(crate) fn has_evictions_since(&self, cursor: usize) -> bool {
-        self.evict_len.load(Relaxed) != cursor
-    }
-
-    /// Eviction requests past `cursor`, advancing it.
-    pub(crate) fn evictions_since(&self, cursor: &mut usize) -> Vec<FlowKey> {
-        if self.evict_len.load(Relaxed) == *cursor {
-            return Vec::new();
+    /// Adds a request to `shard`'s mailbox and wakes its worker. Never
+    /// blocks: the wake-up is a `try_send`, and a full channel already
+    /// guarantees the worker another pass over its mailbox. A no-op once
+    /// the monitor has shut down.
+    fn post(&self, shard: usize, add: impl FnOnce(&mut Requests)) {
+        let wakers = self.wakers.lock().unwrap_or_else(PoisonError::into_inner);
+        let Some(wakers) = wakers.as_ref() else {
+            return;
+        };
+        let mailbox = &self.mailboxes[shard];
+        let mut requests = mailbox
+            .requests
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        add(&mut requests);
+        mailbox.pending.store(true, Relaxed);
+        drop(requests);
+        if let Some(waker) = wakers.get(shard) {
+            let _ = waker.try_send(ShardMsg::Control);
         }
-        let requests = self.evictions.lock().expect("evictions poisoned"); // lint: allow(no-unwrap-in-lib) -- poisoned evictions lock means a peer thread already panicked; escalate
-        let fresh = requests[(*cursor).min(requests.len())..].to_vec();
-        *cursor = requests.len();
-        fresh
+    }
+
+    /// Empties `shard`'s mailbox, returning what it held (`None`, after
+    /// one relaxed load, when nothing is pending).
+    pub(crate) fn take_requests(&self, shard: usize) -> Option<Requests> {
+        let mailbox = &self.mailboxes[shard];
+        if !mailbox.pending.load(Relaxed) {
+            return None;
+        }
+        let mut requests = mailbox
+            .requests
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        mailbox.pending.store(false, Relaxed);
+        Some(std::mem::take(&mut *requests))
+    }
+
+    /// Drops the wakers at shutdown, so the workers' channels can
+    /// disconnect and later requests are discarded.
+    pub(crate) fn close(&self) {
+        *self.wakers.lock().unwrap_or_else(PoisonError::into_inner) = None;
     }
 
     /// Records `n` packets handed to `worker`'s channel.
@@ -309,22 +356,25 @@ impl MonitorHandle {
     /// Asks every shard to emit provisional snapshots of its flows'
     /// pending windows (marked `provisional: true`, superseded by later
     /// final reports — the same contract as the builder's
-    /// `flush_after_packets`). Applied by shard workers within their
-    /// next poll tick; an inline monitor applies it on its next
-    /// `ingest`/`drain` call.
+    /// `flush_after_packets`). Posted to every shard's mailbox, where
+    /// repeated requests coalesce; a shard worker applies it after its
+    /// current batch (an idle one is woken), an inline monitor on its
+    /// next `ingest`/`drain` call. Never blocks.
     pub fn force_flush(&self) {
-        self.control.flush_epoch.fetch_add(1, Relaxed);
+        for shard in 0..self.control.mailboxes.len() {
+            self.control.post(shard, |r| r.flush = true);
+        }
     }
 
     /// Asks the owning shard to seal `flow` now: its engine is finished
     /// and the tail windows surface as a `FlowEvicted` event with
     /// [`EvictReason::Requested`](crate::api::EvictReason::Requested).
-    /// Unknown flows are ignored. Same application timing as
-    /// [`MonitorHandle::force_flush`].
+    /// Unknown flows are ignored. Posted only to the mailbox of the shard
+    /// that owns the flow; same application timing as
+    /// [`MonitorHandle::force_flush`], and never blocks.
     pub fn evict_flow(&self, flow: FlowKey) {
-        let mut requests = self.control.evictions.lock().expect("evictions poisoned"); // lint: allow(no-unwrap-in-lib) -- poisoned evictions lock means a peer thread already panicked; escalate
-        requests.push(flow);
-        self.control.evict_len.store(requests.len(), Relaxed);
+        let shard = worker_of(flow.hash64(), self.control.mailboxes.len());
+        self.control.post(shard, |r| r.evict.push(flow));
     }
 
     /// The live [`AlertThresholds`] (a shared handle: retuning through
@@ -371,7 +421,7 @@ impl MonitorHandle {
         self.control.thresholds.resolution_floor()
     }
 
-    /// Requests a graceful stop: every ingest port stops pulling from
+    /// Requests a graceful stop: every ingest thread stops pulling from
     /// its source at the next packet boundary, in-flight packets are
     /// flushed to the shards, and the run seals every flow — events
     /// already produced are all delivered. Idempotent; never blocks.

@@ -8,7 +8,7 @@
 //! same shared allocation for all of them, evaluated once per event on
 //! the drain thread, so fan-out never deep-copies and filtered-out
 //! subscribers cost nothing. On a threaded monitor each source gets its
-//! **own ingest thread with its own ingest port**: the per-packet parse,
+//! **own ingest thread with its own ingest router**: the per-packet parse,
 //! flow hash, and channel hand-off — the serial section of the parallel
 //! monitor — run once per source instead of once per monitor, so ingest
 //! scales with sources the way engine work already scales with shard
@@ -24,7 +24,7 @@
 //!   [`RunningMonitor`] whose cloneable [`MonitorHandle`] observes and
 //!   steers it live — `stats_snapshot()`, `force_flush()`,
 //!   `evict_flow()`, alert-threshold retuning, and graceful `stop()`
-//!   (ingest ports check the stop flag between packets, flush what they
+//!   (ingest threads check the stop flag between packets, flush what they
 //!   hold, and the run seals every flow: nothing produced before the
 //!   stop is lost).
 //!
@@ -65,9 +65,9 @@
 //! assert_eq!(handle.stats_snapshot().stats.flows_opened, 2);
 //! ```
 
-use crate::api::{IngestPort, Monitor, MonitorBuilder, MonitorStats};
+use crate::api::{IngestRouter, Monitor, MonitorBuilder, MonitorStats};
 use crate::bus::{EventBus, EventFilter};
-use crate::control::MonitorHandle;
+use crate::control::{MonitorHandle, StopToken};
 use crate::sink::EventSink;
 use crate::source::{PacketSource, SourcePacket};
 use serde::Serialize;
@@ -113,11 +113,6 @@ pub struct MonitorRunner {
 
 impl MonitorRunner {
     /// A runner over a monitor built from `builder`.
-    ///
-    /// A builder-configured callback sink
-    /// ([`MonitorBuilder::sink`](crate::api::MonitorBuilder::sink))
-    /// bypasses the event queue and therefore the runner's bus; use
-    /// runner subscriptions instead when running through here.
     pub fn new(builder: MonitorBuilder) -> Self {
         MonitorRunner::with_monitor(builder.build())
     }
@@ -191,16 +186,16 @@ impl MonitorRunner {
         let handle = monitor.handle();
         let n_sources = sources.len();
 
-        // One ingest port per source — threaded monitors only. An inline
-        // monitor (or a portless run) falls back to sequential ingestion
-        // on this thread.
-        let ports: Option<Vec<IngestPort>> = (0..n_sources)
-            .map(|_| monitor.ingest_port())
+        // One ingest router per source — threaded monitors only. An
+        // inline monitor (or a sourceless run) falls back to sequential
+        // ingestion on this thread.
+        let routers: Option<Vec<IngestRouter>> = (0..n_sources)
+            .map(|_| monitor.ingest_router())
             .collect::<Option<Vec<_>>>();
 
-        let source_reports = match ports {
-            Some(ports) if !ports.is_empty() => {
-                run_threaded(&mut monitor, sources, ports, &mut bus, &handle)
+        let source_reports = match routers {
+            Some(routers) if !routers.is_empty() => {
+                run_threaded(&mut monitor, sources, routers, &mut bus, &handle)
             }
             _ => run_inline(&mut monitor, sources, &mut bus, &handle),
         };
@@ -280,7 +275,7 @@ impl RunningMonitor {
     }
 
     /// Requests a graceful stop and waits for the run to wind down:
-    /// ingest ports stop pulling at the next packet boundary, in-flight
+    /// ingest threads stop pulling at the next packet boundary, in-flight
     /// packets flush to the shards, every flow is sealed, and every
     /// event produced before the stop reaches the subscribers. Returns
     /// the settled report.
@@ -298,104 +293,89 @@ impl std::fmt::Debug for RunningMonitor {
     }
 }
 
+/// Pulls packets from `source` into `ingest` until it runs dry, fails,
+/// or a graceful stop is requested (checked between packets).
+fn pump(
+    source: &mut dyn PacketSource,
+    stop: &StopToken,
+    mut ingest: impl FnMut(SourcePacket),
+) -> SourceReport {
+    let mut packets = 0u64;
+    let mut error = None;
+    while !stop.is_stopped() {
+        match source.next_packet() {
+            Ok(Some(pkt)) => {
+                packets += 1;
+                ingest(pkt);
+            }
+            Ok(None) => break,
+            Err(e) => {
+                error = Some(e.to_string());
+                break;
+            }
+        }
+    }
+    SourceReport { packets, error }
+}
+
 /// Sequential fallback: drive every source on the caller's thread,
 /// draining to the bus after each packet (the inline monitor produces
 /// events synchronously, so this is maximal freshness at no extra
-/// cost). Checks the graceful-stop flag between packets.
+/// cost).
 fn run_inline(
     monitor: &mut Monitor,
     sources: Vec<Box<dyn PacketSource + Send>>,
     bus: &mut EventBus,
     handle: &MonitorHandle,
 ) -> Vec<SourceReport> {
-    let mut reports = Vec::with_capacity(sources.len());
-    for mut source in sources {
-        let mut packets = 0u64;
-        let mut error = None;
-        while !handle.stop_requested() {
-            match source.next_packet() {
-                Ok(Some(pkt)) => {
-                    packets += 1;
-                    match pkt {
-                        SourcePacket::Record { link, record } => {
-                            monitor.ingest_pcap_record(link, &record)
-                        }
-                        SourcePacket::Captured(cap) => monitor.ingest_captured(&cap),
-                        SourcePacket::Parsed { flow, packet } => {
-                            monitor.ingest_packet(flow, packet)
-                        }
-                    }
-                    for event in monitor.drain_shared() {
-                        bus.publish(&event);
-                    }
+    let stop = handle.stop_token();
+    sources
+        .into_iter()
+        .map(|mut source| {
+            pump(&mut *source, &stop, |pkt| {
+                monitor.ingest_source(pkt);
+                for event in monitor.drain_shared() {
+                    bus.publish(&event);
                 }
-                Ok(None) => break,
-                Err(e) => {
-                    error = Some(e.to_string());
-                    break;
-                }
-            }
-        }
-        reports.push(SourceReport { packets, error });
-    }
-    reports
+            })
+        })
+        .collect()
 }
 
-/// Threaded path: one ingest thread per source, each with its own port;
+/// Threaded path: one ingest thread per source, each with its own router;
 /// the caller's thread is the event loop that drains the queue to the
 /// bus until every ingest thread is done. That loop is what keeps a
 /// `Block` queue live — workers it parks are woken by our drains. Each
-/// ingest thread checks the graceful-stop flag between packets and
-/// flushes its port on the way out, so a stop loses nothing already
-/// pulled.
+/// ingest thread flushes its router on the way out, so a graceful stop
+/// loses nothing already pulled.
 fn run_threaded(
     monitor: &mut Monitor,
     sources: Vec<Box<dyn PacketSource + Send>>,
-    ports: Vec<IngestPort>,
+    routers: Vec<IngestRouter>,
     bus: &mut EventBus,
     handle: &MonitorHandle,
 ) -> Vec<SourceReport> {
     std::thread::scope(|scope| {
         let handles: Vec<_> = sources
             .into_iter()
-            .zip(ports)
-            .map(|(mut source, mut port)| {
+            .zip(routers)
+            .map(|(mut source, mut router)| {
                 let stop = handle.stop_token();
                 scope.spawn(move || {
-                    let mut packets = 0u64;
-                    let mut error = None;
                     // Live sources (taps, paced replays) hand every
                     // packet straight to its shard worker: at wall-clock
                     // rates the batch would otherwise sit half-filled
                     // for seconds, starving the workers — and every
                     // live observer — of traffic that already arrived.
                     let live = source.is_live();
-                    while !stop.is_stopped() {
-                        match source.next_packet() {
-                            Ok(Some(pkt)) => {
-                                packets += 1;
-                                match pkt {
-                                    SourcePacket::Record { link, record } => {
-                                        port.ingest_pcap_record(link, &record)
-                                    }
-                                    SourcePacket::Captured(cap) => port.ingest_captured(&cap),
-                                    SourcePacket::Parsed { flow, packet } => {
-                                        port.ingest_packet(flow, packet)
-                                    }
-                                }
-                                if live {
-                                    port.flush();
-                                }
-                            }
-                            Ok(None) => break,
-                            Err(e) => {
-                                error = Some(e.to_string());
-                                break;
-                            }
+                    let report = pump(&mut *source, &stop, |pkt| {
+                        router.ingest(pkt);
+                        if live {
+                            router.flush();
                         }
-                    }
-                    port.flush();
-                    SourceReport { packets, error }
+                    });
+                    router.flush();
+                    report
                 })
             })
             .collect();

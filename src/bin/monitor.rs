@@ -63,7 +63,7 @@ impl Write for SharedStdout {
 
 /// SIGINT/SIGTERM → graceful-stop bridge. The handler does the only
 /// async-signal-safe thing — one atomic store — and the watch loop in
-/// `main` turns the flag into `MonitorHandle::stop()`: ingest ports
+/// `main` turns the flag into `MonitorHandle::stop()`: ingest threads
 /// stop at the next packet boundary, in-flight packets flush, flows
 /// seal, and every event produced before the stop still reaches the
 /// sinks (a prefix-exact run, not a torn one). Raw `signal(2)` via an

@@ -215,8 +215,8 @@ fn evict_flow_surfaces_tail_windows_inline() {
     assert_eq!(sealed, vec![(b, EvictReason::EndOfStream)]);
 }
 
-/// The threaded path: an eviction request is applied by the owning
-/// shard worker within its poll tick, without any new packet arriving.
+/// The threaded path: an eviction request wakes the owning shard worker,
+/// which applies it without any new packet arriving.
 #[test]
 fn evict_flow_applies_on_idle_threaded_workers() {
     let a = flow_key(1);
@@ -423,7 +423,8 @@ fn alert_threshold_retunes_live() {
 
 /// Force-flush also reaches threaded workers and `stats_snapshot`
 /// reflects per-shard depths live (a smoke for BTreeMap ordering of the
-/// snapshot surface more than timing, which the idle tick guarantees).
+/// snapshot surface more than timing, which the worker wake-up
+/// guarantees).
 #[test]
 fn force_flush_reaches_threaded_workers() {
     let mut monitor = MonitorBuilder::new(VcaKind::Teams)
