@@ -13,7 +13,7 @@ use vcaml::engine::{FlowTable, IpUdpHeuristicEngine};
 use vcaml::{
     build_samples, estimate_windows, AlertThresholds, ChannelSink, CountingSink, EngineConfig,
     EstimationMethod, EventBus, EventFilter, HeuristicParams, IpUdpHeuristic, MediaClassifier,
-    Method, MonitorBuilder, MonitorRunner, PipelineOpts, QoeEstimator, QoeEvent, ReplaySource,
+    Method, MonitorBuilder, MonitorRunner, PipelineOpts, QoeEvent, ReplaySource,
 };
 use vcaml_datasets::{inlab_corpus, to_core_trace, CorpusConfig};
 use vcaml_features::{ipudp_features, windows_by_second, PktObs, DEFAULT_THETA_IAT_US};
@@ -272,12 +272,14 @@ fn bench_batch_vs_engine(c: &mut Criterion) {
         b.iter(|| {
             let mut heur = build_engine(Method::IpUdpHeuristic, config, trace.payload_map, None);
             let mut ml = build_engine(Method::IpUdpMl, config, trace.payload_map, None);
-            let mut n = 0usize;
+            let mut out = Vec::new();
             for p in &trace.packets {
-                n += heur.push(p).len();
-                n += ml.push(p).len();
+                heur.push_into(p, &mut out);
+                ml.push_into(p, &mut out);
             }
-            n + heur.finish().len() + ml.finish().len()
+            heur.finish_into(&mut out);
+            ml.finish_into(&mut out);
+            out.len()
         })
     });
     g.finish();
@@ -329,7 +331,6 @@ fn run_64_flows_runner(
     let mut runner = MonitorRunner::new(
         MonitorBuilder::new(VcaKind::Teams)
             .method(EstimationMethod::Fixed(Method::IpUdpHeuristic))
-            .shards(8)
             .threads(threads)
             .idle_timeout(Timestamp::from_secs(60)),
     )
@@ -405,9 +406,7 @@ fn bench_runner_fanout(c: &mut Criterion) {
     let feed = feed_64_flows();
     let (subscriber, rx) = ChannelSink::bounded(1 << 20);
     MonitorRunner::new(
-        MonitorBuilder::new(VcaKind::Teams)
-            .method(EstimationMethod::Fixed(Method::IpUdpHeuristic))
-            .shards(8),
+        MonitorBuilder::new(VcaKind::Teams).method(EstimationMethod::Fixed(Method::IpUdpHeuristic)),
     )
     .source(ReplaySource::from_packets(feed.clone()))
     .sink(subscriber)
@@ -467,8 +466,7 @@ fn bench_runner_fanout(c: &mut Criterion) {
     let run_with_subscribers = |n: usize| {
         let mut runner = MonitorRunner::new(
             MonitorBuilder::new(VcaKind::Teams)
-                .method(EstimationMethod::Fixed(Method::IpUdpHeuristic))
-                .shards(8),
+                .method(EstimationMethod::Fixed(Method::IpUdpHeuristic)),
         )
         .source(ReplaySource::from_packets(feed.clone()));
         let mut rxs = Vec::with_capacity(n);

@@ -2,7 +2,8 @@
 //!
 //! This module is the stable contract of the crate. A [`MonitorBuilder`]
 //! turns typed configuration — estimation method (with RTP-confidence
-//! fallback), [`StatsMode`], window length, idle-eviction policy, optional
+//! fallback), window length, engine configuration ([`EngineConfig`],
+//! which carries the `StatsMode`), idle-eviction policy, optional
 //! max-lag flush — into a [`Monitor`] that owns the flow demultiplexer and
 //! per-flow engines internally. Ingestion accepts raw link-layer bytes,
 //! raw IP bytes, decoded [`CapturedPacket`]s, or pre-parsed
@@ -78,14 +79,13 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use vcaml_features::StatsMode;
 use vcaml_mlcore::RandomForest;
 use vcaml_netpkt::pcap::PcapRecord;
 use vcaml_netpkt::{CapturedPacket, Error as NetError, FlowKey, LinkType, Timestamp, UdpDatagram};
 use vcaml_rtp::{PayloadMap, RtpHeader, VcaKind};
 
-/// A per-flow estimator behind the facade. `Send` so a future sharded
-/// monitor can move engines across worker threads.
+/// A per-flow estimator behind the facade. `Send` so a threaded monitor
+/// can run engines on its shard workers.
 pub type BoxedEngine = Box<dyn QoeEstimator + Send>;
 
 /// Packets buffered per flow before the RTP-confidence decision is made
@@ -105,6 +105,10 @@ pub const RTP_CONFIDENCE: f64 = 0.5;
 /// RTP engine after at most this many post-probation packets instead of
 /// keeping the fallback forever.
 pub const RTP_REPROBE_PACKETS: u32 = 256;
+
+/// Flow-table sub-shards per monitor: all of them inline, or an equal
+/// share (at least one) per shard worker.
+const TABLE_SHARDS: usize = 8;
 
 /// How often (in stream time) the monitor sweeps for idle flows.
 const EVICT_CHECK_US: i64 = 1_000_000;
@@ -536,7 +540,6 @@ pub struct MonitorBuilder {
     config: EngineConfig,
     payload_map: PayloadMap,
     model: Option<RandomForest>,
-    shards: usize,
     threads: usize,
     queue_capacity: usize,
     overflow: OverflowPolicy,
@@ -557,7 +560,6 @@ impl MonitorBuilder {
             config: EngineConfig::paper(vca),
             payload_map: PayloadMap::lab(vca),
             model: None,
-            shards: 8,
             threads: 1,
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             overflow: OverflowPolicy::Block,
@@ -569,13 +571,6 @@ impl MonitorBuilder {
     /// Selects the estimation method (fixed, or RTP-confidence auto).
     pub fn method(mut self, method: EstimationMethod) -> Self {
         self.method = method;
-        self
-    }
-
-    /// Order-statistic accumulation: `Exact` (batch-bit-compatible) or
-    /// `Sketch` (strict O(1) per-flow state).
-    pub fn stats_mode(mut self, stats: StatsMode) -> Self {
-        self.config.stats = stats;
         self
     }
 
@@ -616,14 +611,6 @@ impl MonitorBuilder {
     /// vice versa.
     pub fn model(mut self, model: RandomForest) -> Self {
         self.model = Some(model);
-        self
-    }
-
-    /// Number of flow-table shards (default 8). With worker threads
-    /// configured, shards are distributed across the workers.
-    pub fn shards(mut self, n: usize) -> Self {
-        assert!(n >= 1, "zero shards");
-        self.shards = n;
         self
     }
 
@@ -735,10 +722,9 @@ impl MonitorBuilder {
             snapshots: Vec::new(),
         };
         let dispatch = if inline {
-            Dispatch::Inline(Box::new(shard_state(self.shards, 0)))
+            Dispatch::Inline(Box::new(shard_state(TABLE_SHARDS, 0)))
         } else {
-            // Distribute the configured shards across the workers.
-            let inner_shards = (self.shards / threads).max(1);
+            let inner_shards = (TABLE_SHARDS / threads).max(1);
             let handles = receivers
                 .into_iter()
                 .enumerate()
@@ -785,8 +771,6 @@ impl std::fmt::Debug for MonitorBuilder {
             .field("vca", &self.vca)
             .field("method", &self.method)
             .field("window_secs", &self.config.window_secs)
-            .field("stats", &self.config.stats)
-            .field("shards", &self.shards)
             .field("threads", &self.threads)
             .field("queue_capacity", &self.queue_capacity)
             .field("overflow", &self.overflow)
@@ -1686,7 +1670,7 @@ impl ShardState {
                 self.flush_all_provisional();
             }
             for flow in requests.evict {
-                self.evict_requested(flow);
+                self.evict(flow, EvictReason::Requested);
             }
         }
     }
@@ -1695,31 +1679,15 @@ impl ShardState {
     /// windows — [`MonitorHandle::force_flush`], with the same
     /// supersede-later semantics as the builder's max-lag flush.
     fn flush_all_provisional(&mut self) {
-        let mut snapshots: Vec<(FlowKey, Vec<WindowReport>)> = Vec::new();
+        let mut buf = std::mem::take(&mut self.snapshots);
+        let mut snapshots = Vec::new();
         self.table.for_each_mut(|flow, engine| {
-            let reports = engine.provisional();
-            if !reports.is_empty() {
-                snapshots.push((*flow, reports));
-            }
+            engine.provisional_into(&mut buf);
+            snapshots.extend(buf.drain(..).map(|report| (*flow, report)));
         });
-        for (flow, reports) in snapshots {
-            for report in reports {
-                self.emit_window(flow, report, true);
-            }
-        }
-    }
-
-    /// Seals one flow on operator request, surfacing its tail windows —
-    /// [`MonitorHandle::evict_flow`]. A flow still in probation is
-    /// resolved first (its buffered packets replay through the decided
-    /// engine), so even a young flow's windows surface. Unknown flows are
-    /// ignored.
-    fn evict_requested(&mut self, flow: FlowKey) {
-        if self.pending.contains_key(&flow) {
-            self.resolve_pending(flow);
-        }
-        if let Some(mut engine) = self.table.remove(&flow) {
-            self.seal_flow(flow, EvictReason::Requested, engine.finish());
+        self.snapshots = buf;
+        for (flow, report) in snapshots {
+            self.emit_window(flow, report, true);
         }
     }
 
@@ -1831,14 +1799,14 @@ impl ShardState {
     /// The seam is visible to consumers as the report's `method` changing
     /// mid-flow; the triggering packet replays into the new engine.
     fn upgrade_flow(&mut self, hash: u64, flow: FlowKey, pkt: &TracePacket) {
-        let Some(mut old) = self.table.remove_hashed(hash, &flow) else {
+        let Some(reports) = self.remove_finished(hash, &flow) else {
             return;
         };
         // The new engine anchors at this packet's window; the old
         // engine's flush can reach at most that window (its packets are
         // all older), so exactly the boundary overlap is provisional.
         let anchor = (pkt.ts.as_micros().div_euclid(self.window_us)) as u64;
-        for report in old.engine.finish() {
+        for report in reports {
             let provisional = report.window >= anchor;
             self.emit_window(flow, report, provisional);
         }
@@ -1877,12 +1845,7 @@ impl ShardState {
             .map(|(k, _)| *k)
             .collect();
         for flow in stale {
-            // Decide with whatever probation evidence exists, replay, and
-            // seal immediately: short flows still get their windows.
-            self.resolve_pending(flow);
-            if let Some(mut engine) = self.table.remove(&flow) {
-                self.seal_flow(flow, EvictReason::Idle, engine.finish());
-            }
+            self.evict(flow, EvictReason::Idle);
         }
         // Piggyback the bytes-per-flow gauge on the sweep cadence: the
         // survivors' engine state is what the monitor is resident for.
@@ -1891,6 +1854,28 @@ impl ShardState {
             self.table.state_bytes() as u64,
             self.table.len() as u64,
         );
+    }
+
+    /// Seals one flow now — on operator request
+    /// ([`MonitorHandle::evict_flow`]) or when the idle sweep finds it
+    /// stale in probation. A flow still in probation is resolved first
+    /// with whatever evidence exists (its buffered packets replay through
+    /// the decided engine), so even a young flow's windows surface.
+    /// Unknown flows are ignored.
+    fn evict(&mut self, flow: FlowKey, reason: EvictReason) {
+        self.resolve_pending(flow);
+        if let Some(final_reports) = self.remove_finished(flow.hash64(), &flow) {
+            self.seal_flow(flow, reason, final_reports);
+        }
+    }
+
+    /// Removes an established flow from the table and flushes its
+    /// engine's remaining windows.
+    fn remove_finished(&mut self, hash: u64, flow: &FlowKey) -> Option<Vec<WindowReport>> {
+        let mut tracked = self.table.remove_hashed(hash, flow)?;
+        let mut reports = Vec::new();
+        tracked.finish_into(&mut reports);
+        Some(reports)
     }
 
     fn seal_flow(&mut self, flow: FlowKey, reason: EvictReason, final_reports: Vec<WindowReport>) {

@@ -199,21 +199,43 @@ pub struct AlertBar {
     pub res_min_kbps: f64,
 }
 
+/// One floor of an [`AlertBar`] that a finalized window fell below,
+/// with the window's offending value.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Breach {
+    /// Frame rate (estimate or model prediction) below the fps floor.
+    Fps(f64),
+    /// Estimated bitrate (kbps) below the bitrate floor.
+    Bitrate(f64),
+    /// Estimated bitrate (kbps) below the resolution-class floor of
+    /// `height`.
+    Resolution {
+        /// The window's estimated bitrate.
+        kbps: f64,
+        /// The floor's frame height.
+        height: u32,
+    },
+}
+
 impl AlertBar {
+    /// The floors a finalized window report falls below, in alert order:
+    /// frame rate first, then bitrate or resolution — a bitrate breach
+    /// suppresses the resolution one, since both judge the same
+    /// estimated bitrate.
+    pub(crate) fn breaches(&self, report: &crate::engine::WindowReport) -> [Option<Breach>; 2] {
+        let fps = report_fps(report).filter(|&fps| fps < self.fps);
+        let kbps = report.estimate.map(|e| e.bitrate_kbps);
+        let rate = kbps.and_then(|kbps| match self.res_height {
+            _ if kbps < self.min_kbps => Some(Breach::Bitrate(kbps)),
+            Some(height) if kbps < self.res_min_kbps => Some(Breach::Resolution { kbps, height }),
+            _ => None,
+        });
+        [fps.map(Breach::Fps), rate]
+    }
+
     /// Whether a finalized window report falls below any floor.
     pub fn degrades(&self, report: &crate::engine::WindowReport) -> bool {
-        if report_fps(report).is_some_and(|fps| fps < self.fps) {
-            return true;
-        }
-        if let Some(est) = &report.estimate {
-            if est.bitrate_kbps < self.min_kbps {
-                return true;
-            }
-            if self.res_height.is_some() && est.bitrate_kbps < self.res_min_kbps {
-                return true;
-            }
-        }
-        false
+        self.breaches(report).iter().any(Option::is_some)
     }
 }
 

@@ -10,10 +10,11 @@
 //! by hand.
 //!
 //! All four methods of the paper implement one trait — [`QoeEstimator`]:
-//! feed captured packets in arrival order via `push`, receive finalized
-//! [`WindowReport`]s as window boundaries become safe, and `finish` at end
-//! of stream. The engines share the incremental building blocks the batch
-//! pipeline is itself built from (the assemblers in [`crate::heuristic`] /
+//! feed captured packets in arrival order via `push_into`, receive
+//! finalized [`WindowReport`]s into a caller-owned buffer as window
+//! boundaries become safe, and `finish_into` at end of stream. The
+//! engines share the incremental building blocks the batch pipeline is
+//! itself built from (the assemblers in [`crate::heuristic`] /
 //! [`crate::rtp_heuristic`], the [`crate::qoe::QoeWindower`], and the
 //! feature accumulators in `vcaml_features::incremental`), so a streaming
 //! run reproduces the batch pipeline's numbers exactly — the batch
@@ -22,9 +23,8 @@
 //!
 //! For network-wide deployment, [`FlowTable`] demuxes a mixed packet feed
 //! onto per-flow engines keyed by the canonical UDP 5-tuple
-//! (`vcaml_netpkt::FlowKey`), sharded for cache locality and future
-//! parallelism, with idle-flow eviction so memory tracks the set of
-//! *active* calls.
+//! (`vcaml_netpkt::FlowKey`), sharded for cache locality, with idle-flow
+//! eviction so memory tracks the set of *active* calls.
 //!
 //! ## Emission latency
 //!
@@ -32,7 +32,7 @@
 //! land in a window has been sealed (a few packets after the boundary for
 //! the IP/UDP method, up to [`SCAN_DEPTH`](crate::rtp_heuristic) frames
 //! for the RTP method); ML feature reports are emitted at the first
-//! packet past the boundary. `finish` flushes everything.
+//! packet past the boundary. `finish_into` flushes everything.
 
 use crate::frames::Frame;
 use crate::heuristic::{HeuristicParams, IpUdpAssembler};
@@ -176,7 +176,7 @@ pub struct WindowReport {
 /// Contract: packets arrive with non-decreasing timestamps; negative
 /// timestamps are outside every window and are dropped. Reports come out
 /// in strict window order with no gaps (idle windows yield zero
-/// estimates / zero features). Call `finish` exactly once at end of
+/// estimates / zero features). Call `finish_into` exactly once at end of
 /// stream to flush the remaining windows.
 ///
 /// Stability: stable — re-exported from the crate root as part of the
@@ -213,53 +213,6 @@ pub trait QoeEstimator {
     /// gauge. Engines that do not account return 0.
     fn state_bytes(&self) -> usize {
         0
-    }
-
-    /// Allocating convenience form of [`Self::push_into`].
-    fn push(&mut self, pkt: &TracePacket) -> Vec<WindowReport> {
-        let mut out = Vec::new();
-        self.push_into(pkt, &mut out);
-        out
-    }
-
-    /// Allocating convenience form of [`Self::finish_into`].
-    fn finish(&mut self) -> Vec<WindowReport> {
-        let mut out = Vec::new();
-        self.finish_into(&mut out);
-        out
-    }
-
-    /// Allocating convenience form of [`Self::provisional_into`].
-    fn provisional(&self) -> Vec<WindowReport> {
-        let mut out = Vec::new();
-        self.provisional_into(&mut out);
-        out
-    }
-}
-
-impl<T: QoeEstimator + ?Sized> QoeEstimator for Box<T> {
-    fn method(&self) -> Method {
-        (**self).method()
-    }
-
-    fn push_into(&mut self, pkt: &TracePacket, out: &mut Vec<WindowReport>) {
-        (**self).push_into(pkt, out)
-    }
-
-    fn finish_into(&mut self, out: &mut Vec<WindowReport>) {
-        (**self).finish_into(out)
-    }
-
-    fn empty_report(&self, window: u64) -> WindowReport {
-        (**self).empty_report(window)
-    }
-
-    fn provisional_into(&self, out: &mut Vec<WindowReport>) {
-        (**self).provisional_into(out)
-    }
-
-    fn state_bytes(&self) -> usize {
-        (**self).state_bytes()
     }
 }
 
@@ -482,12 +435,12 @@ impl HeuristicState {
 }
 
 // ---------------------------------------------------------------------------
-// Heuristic engines (shared driver over two frame sources)
+// Heuristic engines (one engine over two frame sources)
 // ---------------------------------------------------------------------------
 
 /// What a heuristic engine's frame assembly must provide; implemented by
 /// the two classification+assembler pairings so the (subtle) push/finish
-/// orchestration exists exactly once in [`HeuristicDriver`].
+/// orchestration exists exactly once in [`HeuristicEngine`].
 trait FrameSource {
     /// Classifies one packet and, for video, feeds the assembler,
     /// appending any frames this packet seals into `sealed`. Returns
@@ -504,11 +457,12 @@ trait FrameSource {
     fn heap_bytes(&self) -> usize;
 }
 
-/// The shared heuristic state machine: gap quarantine, window clock,
-/// frame offering, and safe/final draining. Owns two scratch buffers
-/// (sealed frames, drained windows) so the per-packet cycle recycles
-/// capacity instead of allocating.
-struct HeuristicDriver<S> {
+/// A streaming heuristic engine over one frame source — see
+/// [`IpUdpHeuristicEngine`] and [`RtpHeuristicEngine`]: gap quarantine,
+/// window clock, frame offering, and safe/final draining. Owns two
+/// scratch buffers (sealed frames, drained windows) so the per-packet
+/// cycle recycles capacity instead of allocating.
+pub struct HeuristicEngine<S> {
     source: S,
     state: HeuristicState,
     method: Method,
@@ -516,9 +470,39 @@ struct HeuristicDriver<S> {
     drained: Vec<(u64, QoeEstimate)>,
 }
 
-impl<S: FrameSource> HeuristicDriver<S> {
-    fn new(config: EngineConfig, method: Method, source: S) -> Self {
-        HeuristicDriver {
+/// Streaming IP/UDP Heuristic: size-threshold media classification,
+/// incremental Algorithm 1, per-window QoE estimation.
+pub type IpUdpHeuristicEngine = HeuristicEngine<IpUdpSource>;
+
+/// Streaming RTP Heuristic: payload-type media classification, incremental
+/// timestamp/marker frame grouping, per-window QoE estimation.
+pub type RtpHeuristicEngine = HeuristicEngine<RtpSource>;
+
+impl IpUdpHeuristicEngine {
+    /// Creates an engine from a configuration.
+    pub fn new(config: EngineConfig) -> Self {
+        let source = IpUdpSource {
+            classifier: MediaClassifier::new(config.vmin),
+            assembler: IpUdpAssembler::new(config.heuristic),
+        };
+        HeuristicEngine::with_source(config, Method::IpUdpHeuristic, source)
+    }
+}
+
+impl RtpHeuristicEngine {
+    /// Creates an engine; the payload map supplies PT→media classification.
+    pub fn new(config: EngineConfig, payload_map: PayloadMap) -> Self {
+        let source = RtpSource {
+            payload_map,
+            assembler: RtpAssembler::new(),
+        };
+        HeuristicEngine::with_source(config, Method::RtpHeuristic, source)
+    }
+}
+
+impl<S> HeuristicEngine<S> {
+    fn with_source(config: EngineConfig, method: Method, source: S) -> Self {
+        HeuristicEngine {
             source,
             state: HeuristicState::new(config),
             method,
@@ -549,6 +533,12 @@ impl<S: FrameSource> HeuristicDriver<S> {
             out.push(self.state.report(method, dw, e));
         }
         self.drained.clear();
+    }
+}
+
+impl<S: FrameSource> QoeEstimator for HeuristicEngine<S> {
+    fn method(&self) -> Method {
+        self.method
     }
 
     // lint: hot_path
@@ -595,16 +585,18 @@ impl<S: FrameSource> HeuristicDriver<S> {
         self.state.provisional_into(self.method, out);
     }
 
-    fn heap_bytes(&self) -> usize {
-        self.source.heap_bytes()
+    fn state_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + self.source.heap_bytes()
             + self.state.heap_bytes()
             + self.sealed.capacity() * std::mem::size_of::<(u64, Frame)>()
             + self.drained.capacity() * std::mem::size_of::<(u64, QoeEstimate)>()
     }
 }
 
-/// Size-threshold classification feeding Algorithm 1.
-struct IpUdpSource {
+/// The frame source of [`IpUdpHeuristicEngine`]: size-threshold
+/// classification feeding Algorithm 1.
+pub struct IpUdpSource {
     classifier: MediaClassifier,
     assembler: IpUdpAssembler,
 }
@@ -632,8 +624,9 @@ impl FrameSource for IpUdpSource {
     }
 }
 
-/// Payload-type classification feeding RTP timestamp/marker grouping.
-struct RtpSource {
+/// The frame source of [`RtpHeuristicEngine`]: payload-type
+/// classification feeding RTP timestamp/marker grouping.
+pub struct RtpSource {
     payload_map: PayloadMap,
     assembler: RtpAssembler,
 }
@@ -662,104 +655,6 @@ impl FrameSource for RtpSource {
 
     fn heap_bytes(&self) -> usize {
         self.assembler.heap_bytes()
-    }
-}
-
-/// Streaming IP/UDP Heuristic: size-threshold media classification,
-/// incremental Algorithm 1, per-window QoE estimation.
-pub struct IpUdpHeuristicEngine {
-    driver: HeuristicDriver<IpUdpSource>,
-}
-
-impl IpUdpHeuristicEngine {
-    /// Creates an engine from a configuration.
-    pub fn new(config: EngineConfig) -> Self {
-        IpUdpHeuristicEngine {
-            driver: HeuristicDriver::new(
-                config,
-                Method::IpUdpHeuristic,
-                IpUdpSource {
-                    classifier: MediaClassifier::new(config.vmin),
-                    assembler: IpUdpAssembler::new(config.heuristic),
-                },
-            ),
-        }
-    }
-}
-
-impl QoeEstimator for IpUdpHeuristicEngine {
-    fn method(&self) -> Method {
-        Method::IpUdpHeuristic
-    }
-
-    // lint: hot_path
-    fn push_into(&mut self, pkt: &TracePacket, out: &mut Vec<WindowReport>) {
-        self.driver.push_into(pkt, out)
-    }
-
-    fn finish_into(&mut self, out: &mut Vec<WindowReport>) {
-        self.driver.finish_into(out)
-    }
-
-    fn empty_report(&self, window: u64) -> WindowReport {
-        self.driver.empty_report(window)
-    }
-
-    fn provisional_into(&self, out: &mut Vec<WindowReport>) {
-        self.driver.provisional_into(out)
-    }
-
-    fn state_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.driver.heap_bytes()
-    }
-}
-
-/// Streaming RTP Heuristic: payload-type media classification, incremental
-/// timestamp/marker frame grouping, per-window QoE estimation.
-pub struct RtpHeuristicEngine {
-    driver: HeuristicDriver<RtpSource>,
-}
-
-impl RtpHeuristicEngine {
-    /// Creates an engine; the payload map supplies PT→media classification.
-    pub fn new(config: EngineConfig, payload_map: PayloadMap) -> Self {
-        RtpHeuristicEngine {
-            driver: HeuristicDriver::new(
-                config,
-                Method::RtpHeuristic,
-                RtpSource {
-                    payload_map,
-                    assembler: RtpAssembler::new(),
-                },
-            ),
-        }
-    }
-}
-
-impl QoeEstimator for RtpHeuristicEngine {
-    fn method(&self) -> Method {
-        Method::RtpHeuristic
-    }
-
-    // lint: hot_path
-    fn push_into(&mut self, pkt: &TracePacket, out: &mut Vec<WindowReport>) {
-        self.driver.push_into(pkt, out)
-    }
-
-    fn finish_into(&mut self, out: &mut Vec<WindowReport>) {
-        self.driver.finish_into(out)
-    }
-
-    fn empty_report(&self, window: u64) -> WindowReport {
-        self.driver.empty_report(window)
-    }
-
-    fn provisional_into(&self, out: &mut Vec<WindowReport>) {
-        self.driver.provisional_into(out)
-    }
-
-    fn state_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.driver.heap_bytes()
     }
 }
 
@@ -1216,6 +1111,16 @@ struct FlowEntry<E> {
     last_seen: Timestamp,
 }
 
+impl<E: QoeEstimator> FlowEntry<E> {
+    /// Finishes a removed flow's engine, pairing its key with the
+    /// flow's remaining windows.
+    fn seal(mut self) -> (FlowKey, Vec<WindowReport>) {
+        let mut reports = Vec::new();
+        self.engine.finish_into(&mut reports);
+        (self.key, reports)
+    }
+}
+
 /// Sentinel for an unoccupied probe slot.
 const EMPTY_SLOT: u32 = u32::MAX;
 
@@ -1371,15 +1276,11 @@ impl<E: QoeEstimator> FlowTable<E> {
         ((hash >> 48) as usize) % self.shards.len()
     }
 
-    /// Inserts a pre-built engine for `key`, replacing any existing one.
-    /// The facade uses this when engine selection depends on more than the
-    /// flow key (RTP-confidence probation); plain [`Self::push`] creation
-    /// goes through the factory.
-    pub fn insert(&mut self, key: FlowKey, engine: E, last_seen: Timestamp) {
-        self.insert_hashed(key.hash64(), key, engine, last_seen);
-    }
-
-    /// [`Self::insert`] with a precomputed [`FlowKey::hash64`].
+    /// Inserts a pre-built engine for `key` (whose [`FlowKey::hash64`] is
+    /// `hash`), replacing any existing one. The facade uses this when
+    /// engine selection depends on more than the flow key (RTP-confidence
+    /// probation); [`Self::push_hashed_into`] creation goes through the
+    /// factory.
     pub fn insert_hashed(&mut self, hash: u64, key: FlowKey, engine: E, last_seen: Timestamp) {
         let shard_idx = self.shard_of(hash);
         let shard = &mut self.shards[shard_idx];
@@ -1395,12 +1296,8 @@ impl<E: QoeEstimator> FlowTable<E> {
         }
     }
 
-    /// Mutable access to a flow's engine, if tracked.
-    pub fn get_mut(&mut self, key: &FlowKey) -> Option<&mut E> {
-        self.get_mut_hashed(key.hash64(), key)
-    }
-
-    /// [`Self::get_mut`] with a precomputed [`FlowKey::hash64`].
+    /// Mutable access to a flow's engine, if tracked; `hash` is the key's
+    /// [`FlowKey::hash64`].
     pub fn get_mut_hashed(&mut self, hash: u64, key: &FlowKey) -> Option<&mut E> {
         let shard_idx = self.shard_of(hash);
         let shard = &mut self.shards[shard_idx];
@@ -1432,12 +1329,7 @@ impl<E: QoeEstimator> FlowTable<E> {
     }
 
     /// Removes a flow's engine without finishing it; the caller owns any
-    /// remaining flush.
-    pub fn remove(&mut self, key: &FlowKey) -> Option<E> {
-        self.remove_hashed(key.hash64(), key)
-    }
-
-    /// [`Self::remove`] with a precomputed [`FlowKey::hash64`].
+    /// remaining flush. `hash` is the key's [`FlowKey::hash64`].
     pub fn remove_hashed(&mut self, hash: u64, key: &FlowKey) -> Option<E> {
         let shard_idx = self.shard_of(hash);
         let shard = &mut self.shards[shard_idx];
@@ -1447,15 +1339,9 @@ impl<E: QoeEstimator> FlowTable<E> {
     }
 
     /// Routes one packet to its flow's engine (creating it on first
-    /// sight) and returns that flow's finalized windows.
-    pub fn push(&mut self, key: FlowKey, pkt: &TracePacket) -> Vec<WindowReport> {
-        let mut out = Vec::new();
-        self.push_hashed_into(key.hash64(), key, pkt, &mut out);
-        out
-    }
-
-    /// [`Self::push`] with a precomputed hash, appending finalized
-    /// windows into `out` — the zero-alloc per-packet entry point.
+    /// sight), appending that flow's finalized windows into `out`;
+    /// `hash` is the key's [`FlowKey::hash64`]. The zero-alloc
+    /// per-packet entry point.
     // lint: hot_path
     pub fn push_hashed_into(
         &mut self,
@@ -1504,8 +1390,7 @@ impl<E: QoeEstimator> FlowTable<E> {
                 let e = &shard.entries[idx];
                 if e.last_seen.as_micros() < deadline || e.last_seen.as_micros() > future_bound {
                     let slot = e.slot as usize;
-                    let mut entry = shard.remove_slot(slot);
-                    out.push((entry.key, entry.engine.finish()));
+                    out.push(shard.remove_slot(slot).seal());
                     // swap_remove refilled `idx`; re-examine it.
                 } else {
                     idx += 1;
@@ -1516,23 +1401,14 @@ impl<E: QoeEstimator> FlowTable<E> {
     }
 
     /// Finishes every flow (end of capture), returning each flow's
-    /// remaining windows.
-    pub fn finish_all(mut self) -> Vec<(FlowKey, Vec<WindowReport>)> {
-        self.drain_finish_all()
-    }
-
-    /// [`Self::finish_all`] without consuming the table: drains and
-    /// finishes every flow in place, leaving the table empty but
-    /// reusable. This is the shape a shard worker needs — it owns its
-    /// table inside long-lived state and seals flows at end of stream
-    /// without moving out of itself.
+    /// remaining windows sorted by key. Drains in place, leaving the
+    /// table empty but reusable — the shape a shard worker needs, since
+    /// it owns its table inside long-lived state.
     pub fn drain_finish_all(&mut self) -> Vec<(FlowKey, Vec<WindowReport>)> {
         let mut out = Vec::new();
         for shard in &mut self.shards {
             shard.slots.clear();
-            for mut entry in shard.entries.drain(..) {
-                out.push((entry.key, entry.engine.finish()));
-            }
+            out.extend(shard.entries.drain(..).map(FlowEntry::seal));
         }
         out.sort_by_key(|(k, _)| (k.addr_a, k.port_a, k.addr_b, k.port_b));
         out
@@ -1626,9 +1502,9 @@ mod tests {
     fn run<E: QoeEstimator>(engine: &mut E, packets: &[TracePacket]) -> Vec<WindowReport> {
         let mut reports = Vec::new();
         for p in packets {
-            reports.extend(engine.push(p));
+            engine.push_into(p, &mut reports);
         }
-        reports.extend(engine.finish());
+        engine.finish_into(&mut reports);
         reports
     }
 
@@ -1689,8 +1565,9 @@ mod tests {
     #[test]
     fn idle_gap_emits_empty_windows() {
         let mut engine = IpUdpHeuristicEngine::new(config());
-        engine.push(&pkt(100_000, 1100));
-        let reports = engine.push(&pkt(3_100_000, 1100));
+        engine.push_into(&pkt(100_000, 1100), &mut Vec::new());
+        let mut reports = Vec::new();
+        engine.push_into(&pkt(3_100_000, 1100), &mut reports);
         // The second packet matches the open frame (same size within Δ),
         // pulling its end into window 3 — exactly what the batch
         // assembler does — so windows 0..=2 are all final and empty.
@@ -1704,7 +1581,9 @@ mod tests {
     #[test]
     fn negative_timestamps_dropped() {
         let mut engine = IpUdpMlEngine::new(config());
-        assert!(engine.push(&pkt(-5_000, 1100)).is_empty());
+        let mut dropped = Vec::new();
+        engine.push_into(&pkt(-5_000, 1100), &mut dropped);
+        assert!(dropped.is_empty());
         let reports = run(&mut engine, &synthetic_stream(1));
         assert_eq!(reports.len(), 1);
         // The negative-time packet contributed nothing.
@@ -1717,9 +1596,9 @@ mod tests {
         // An hour of adversarial all-distinct sizes.
         for i in 0..200_000i64 {
             let size = 450 + (i % 900) as u16;
-            engine.push(&pkt(i * 18_000, size));
+            engine.push_into(&pkt(i * 18_000, size), &mut Vec::new());
         }
-        assert!(engine.driver.source.assembler.open_frames() <= config().heuristic.lookback + 1);
+        assert!(engine.source.assembler.open_frames() <= config().heuristic.lookback + 1);
     }
 
     #[test]
@@ -1728,20 +1607,26 @@ mod tests {
         // caller with ~3600 empty windows.
         let hour_us = 3_600i64 * 1_000_000;
         let mut heur = IpUdpHeuristicEngine::new(config());
-        assert!(heur.push(&pkt(hour_us + 1_000, 1100)).is_empty());
+        let mut reports = Vec::new();
+        heur.push_into(&pkt(hour_us + 1_000, 1100), &mut reports);
+        assert!(reports.is_empty());
         // Two more non-matching packets seal the first frame (lookback 2),
         // making window 3600 final — and only then is it emitted.
-        assert!(heur.push(&pkt(hour_us + 1_100_000, 1000)).is_empty());
-        let reports = heur.push(&pkt(hour_us + 1_200_000, 900));
+        heur.push_into(&pkt(hour_us + 1_100_000, 1000), &mut reports);
+        assert!(reports.is_empty());
+        heur.push_into(&pkt(hour_us + 1_200_000, 900), &mut reports);
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].window, 3_600);
 
         let mut ml = IpUdpMlEngine::new(config());
-        assert!(ml.push(&pkt(hour_us + 1_000, 1100)).is_empty());
-        let reports = ml.push(&pkt(hour_us + 1_100_000, 1000));
+        let mut reports = Vec::new();
+        ml.push_into(&pkt(hour_us + 1_000, 1100), &mut reports);
+        assert!(reports.is_empty());
+        ml.push_into(&pkt(hour_us + 1_100_000, 1000), &mut reports);
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].window, 3_600);
-        let tail = ml.finish();
+        let mut tail = Vec::new();
+        ml.finish_into(&mut tail);
         assert_eq!(tail.len(), 1);
         assert_eq!(tail[0].window, 3_601);
     }
@@ -1760,13 +1645,15 @@ mod tests {
         for (i, p) in stream.iter().enumerate() {
             if i == stream.len() / 2 {
                 // The corrupt packet is dropped, emitting nothing.
-                assert!(dirty.push(&pkt(year_us, 800)).is_empty());
+                let before = dirty_reports.len();
+                dirty.push_into(&pkt(year_us, 800), &mut dirty_reports);
+                assert_eq!(dirty_reports.len(), before);
             }
-            clean_reports.extend(clean.push(p));
-            dirty_reports.extend(dirty.push(p));
+            clean.push_into(p, &mut clean_reports);
+            dirty.push_into(p, &mut dirty_reports);
         }
-        clean_reports.extend(clean.finish());
-        dirty_reports.extend(dirty.finish());
+        clean.finish_into(&mut clean_reports);
+        dirty.finish_into(&mut dirty_reports);
         assert_eq!(clean_reports.len(), dirty_reports.len());
         for (c, d) in clean_reports.iter().zip(&dirty_reports) {
             assert_eq!(c.window, d.window);
@@ -1774,10 +1661,12 @@ mod tests {
         }
 
         let mut ml = IpUdpMlEngine::new(config());
-        ml.push(&pkt(0, 1100));
-        assert!(ml.push(&pkt(year_us, 800)).is_empty(), "outlier dropped");
+        ml.push_into(&pkt(0, 1100), &mut Vec::new());
+        let mut reports = Vec::new();
+        ml.push_into(&pkt(year_us, 800), &mut reports);
+        assert!(reports.is_empty(), "outlier dropped");
         // Sane traffic continues in the original epoch.
-        let reports = ml.push(&pkt(1_100_000, 1000));
+        ml.push_into(&pkt(1_100_000, 1000), &mut reports);
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].window, 0);
     }
@@ -1790,13 +1679,9 @@ mod tests {
         // dropped forever.
         let year_us = 365 * 24 * 3_600i64 * 1_000_000;
         let mut heur = IpUdpHeuristicEngine::new(config());
-        heur.push(&pkt(year_us, 800));
+        heur.push_into(&pkt(year_us, 800), &mut Vec::new());
         let stream = synthetic_stream(3);
-        let mut reports = Vec::new();
-        for p in &stream {
-            reports.extend(heur.push(p));
-        }
-        reports.extend(heur.finish());
+        let reports = run(&mut heur, &stream);
         // Windows 0..=2 of the sane epoch come out (the corrupt epoch's
         // lone frame flushes at a far-future index and is discarded here).
         let sane: Vec<_> = reports.iter().filter(|r| r.window < 10).collect();
@@ -1807,12 +1692,8 @@ mod tests {
         }
 
         let mut ml = IpUdpMlEngine::new(config());
-        ml.push(&pkt(year_us, 800));
-        let mut reports = Vec::new();
-        for p in &stream {
-            reports.extend(ml.push(p));
-        }
-        reports.extend(ml.finish());
+        ml.push_into(&pkt(year_us, 800), &mut Vec::new());
+        let reports = run(&mut ml, &stream);
         let sane: Vec<_> = reports.iter().filter(|r| r.window < 10).collect();
         assert_eq!(sane.len(), 3, "sane ML windows");
         assert!(sane.iter().all(|r| r.video_packets > 0));
@@ -1826,15 +1707,19 @@ mod tests {
         // Two hours exceeds MAX_WINDOW_GAP (4096 one-second windows).
         let jump_us = 2 * 3_600i64 * 1_000_000;
         let mut ml = IpUdpMlEngine::new(config());
-        ml.push(&pkt(0, 1100));
-        assert!(ml.push(&pkt(jump_us, 1000)).is_empty());
-        assert!(ml.push(&pkt(jump_us + 1_000, 1000)).is_empty());
-        let reports = ml.push(&pkt(jump_us + 2_000, 1000));
+        ml.push_into(&pkt(0, 1100), &mut Vec::new());
+        let mut reports = Vec::new();
+        ml.push_into(&pkt(jump_us, 1000), &mut reports);
+        assert!(reports.is_empty());
+        ml.push_into(&pkt(jump_us + 1_000, 1000), &mut reports);
+        assert!(reports.is_empty());
+        ml.push_into(&pkt(jump_us + 2_000, 1000), &mut reports);
         // The corroborating packet finalizes the old in-progress window…
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].window, 0);
         // …and emission resumes at the new epoch.
-        let tail = ml.finish();
+        let mut tail = Vec::new();
+        ml.finish_into(&mut tail);
         assert_eq!(tail.len(), 1);
         assert_eq!(tail[0].window, 7_200);
     }
@@ -1899,13 +1784,11 @@ mod tests {
         let mut per_flow: std::collections::HashMap<FlowKey, Vec<WindowReport>> =
             std::collections::HashMap::new();
         for (key, p) in &feed {
-            per_flow
-                .entry(*key)
-                .or_default()
-                .extend(table.push(*key, p));
+            let out = per_flow.entry(*key).or_default();
+            table.push_hashed_into(key.hash64(), *key, p, out);
         }
         assert_eq!(table.len(), 2);
-        for (key, rest) in table.finish_all() {
+        for (key, rest) in table.drain_finish_all() {
             per_flow.entry(key).or_default().extend(rest);
         }
 
@@ -1927,8 +1810,9 @@ mod tests {
         let mut table = FlowTable::new(2, Timestamp::from_secs(5), |_: &FlowKey| {
             IpUdpHeuristicEngine::new(config())
         });
-        table.push(flow_key(1), &pkt(0, 1100));
-        table.push(flow_key(2), &pkt(9_000_000, 1100));
+        for (key, us) in [(flow_key(1), 0), (flow_key(2), 9_000_000)] {
+            table.push_hashed_into(key.hash64(), key, &pkt(us, 1100), &mut Vec::new());
+        }
         assert_eq!(table.len(), 2);
         let evicted = table.evict_idle(Timestamp::from_secs(10));
         assert_eq!(evicted.len(), 1);
@@ -1942,8 +1826,8 @@ mod tests {
         let mut table = FlowTable::new(8, Timestamp::from_secs(60), |_: &FlowKey| {
             IpUdpMlEngine::new(config())
         });
-        for n in 0..64 {
-            table.push(flow_key(n), &pkt(0, 1100));
+        for key in (0..64).map(flow_key) {
+            table.push_hashed_into(key.hash64(), key, &pkt(0, 1100), &mut Vec::new());
         }
         assert_eq!(table.len(), 64);
         assert_eq!(table.shard_count(), 8);

@@ -22,10 +22,6 @@ use vcaml_mlcore::{
     accuracy, cross_val_predict, mae, mrae, percentile, ConfusionMatrix, Dataset, RandomForest,
     RandomForestParams, Task,
 };
-#[cfg(test)]
-use vcaml_netpkt::Timestamp;
-#[cfg(test)]
-use vcaml_rtp::MediaKind;
 use vcaml_rtp::VcaKind;
 
 /// The four methods compared throughout the evaluation.
@@ -581,7 +577,8 @@ pub fn transfer_regression(
 mod tests {
     use super::*;
     use crate::trace::TracePacket;
-    use vcaml_rtp::{PayloadMap, RtpHeader};
+    use vcaml_netpkt::Timestamp;
+    use vcaml_rtp::{MediaKind, PayloadMap, RtpHeader};
 
     /// Builds a toy trace: `fps` equal-size-fragmented frames per second
     /// for `secs` seconds, plus audio packets, with exact ground truth.

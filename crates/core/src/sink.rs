@@ -43,7 +43,7 @@
 //! ```
 
 use crate::api::QoeEvent;
-use crate::bus::AlertThresholds;
+use crate::bus::{AlertThresholds, Breach};
 use crate::engine::WindowReport;
 use crate::pipeline::Method;
 use std::collections::BTreeMap;
@@ -255,10 +255,12 @@ pub fn report_fps(report: &WindowReport) -> Option<f64> {
 
 /// Threshold alerting on inferred QoE — the operator loop of the
 /// paper's §1, as a composable sink instead of CLI-private code. Emits
-/// one JSON line per finalized window that degrades past the live
-/// [`AlertThresholds`] bars: frame rate below the fps floor, bitrate
-/// below the kbps floor, or bitrate below the resolution-class floor
-/// (`metric` names which bar tripped). Provisional (max-lag flush)
+/// one JSON line per live [`AlertThresholds`] bar a finalized window
+/// falls below — the judgement
+/// [`Severity::of`](crate::bus::Severity::of) makes: frame rate below
+/// the fps floor, bitrate below the kbps floor, or bitrate below the
+/// resolution-class floor (`metric` names which bar tripped; a bitrate
+/// alert suppresses the resolution one). Provisional (max-lag flush)
 /// snapshots are documented lower bounds and never alerted on.
 pub struct AlertSink<W: Write> {
     writer: W,
@@ -295,38 +297,27 @@ impl<W: Write> EventSink for AlertSink<W> {
         let Some(flow) = event.flow() else { return };
         let bar = self.thresholds.bar();
         for report in event.final_reports() {
-            if let Some(fps) = report_fps(report) {
-                if fps < bar.fps {
-                    self.alerts += 1;
-                    writeln!(
+            let window = report.window;
+            for breach in bar.breaches(report).into_iter().flatten() {
+                self.alerts += 1;
+                match breach {
+                    Breach::Fps(fps) => writeln!(
                         self.writer,
-                        "{{\"type\":\"alert\",\"metric\":\"fps\",\"flow\":\"{flow}\",\"window\":{},\"fps\":{fps:.1},\"threshold\":{}}}",
-                        report.window, bar.fps
-                    )
-                    .expect("alert sink write"); // lint: allow(no-unwrap-in-lib) -- EventSink is infallible by contract; a dead sink must abort, not drop telemetry
-                }
-            }
-            if let Some(est) = &report.estimate {
-                let kbps = est.bitrate_kbps;
-                if kbps < bar.min_kbps {
-                    self.alerts += 1;
-                    writeln!(
+                        "{{\"type\":\"alert\",\"metric\":\"fps\",\"flow\":\"{flow}\",\"window\":{window},\"fps\":{fps:.1},\"threshold\":{}}}",
+                        bar.fps
+                    ),
+                    Breach::Bitrate(kbps) => writeln!(
                         self.writer,
-                        "{{\"type\":\"alert\",\"metric\":\"bitrate\",\"flow\":\"{flow}\",\"window\":{},\"kbps\":{kbps:.0},\"threshold\":{}}}",
-                        report.window, bar.min_kbps
-                    )
-                    .expect("alert sink write"); // lint: allow(no-unwrap-in-lib) -- EventSink is infallible by contract; a dead sink must abort, not drop telemetry
-                } else if let Some(height) = bar.res_height {
-                    if kbps < bar.res_min_kbps {
-                        self.alerts += 1;
-                        writeln!(
-                            self.writer,
-                            "{{\"type\":\"alert\",\"metric\":\"resolution\",\"flow\":\"{flow}\",\"window\":{},\"kbps\":{kbps:.0},\"floor_height\":{height},\"threshold\":{}}}",
-                            report.window, bar.res_min_kbps
-                        )
-                        .expect("alert sink write"); // lint: allow(no-unwrap-in-lib) -- EventSink is infallible by contract; a dead sink must abort, not drop telemetry
-                    }
+                        "{{\"type\":\"alert\",\"metric\":\"bitrate\",\"flow\":\"{flow}\",\"window\":{window},\"kbps\":{kbps:.0},\"threshold\":{}}}",
+                        bar.min_kbps
+                    ),
+                    Breach::Resolution { kbps, height } => writeln!(
+                        self.writer,
+                        "{{\"type\":\"alert\",\"metric\":\"resolution\",\"flow\":\"{flow}\",\"window\":{window},\"kbps\":{kbps:.0},\"floor_height\":{height},\"threshold\":{}}}",
+                        bar.res_min_kbps
+                    ),
                 }
+                .expect("alert sink write"); // lint: allow(no-unwrap-in-lib) -- EventSink is infallible by contract; a dead sink must abort, not drop telemetry
             }
         }
     }

@@ -1,18 +1,24 @@
 //! Facade/engine parity: a `vcaml::api::Monitor` must reproduce, window
 //! for window, what a directly-driven `QoeEstimator` produces for the
 //! same packets — for all four methods, on realistic simulated traffic,
-//! through both the pre-parsed and the raw-datagram ingestion paths.
+//! through both the pre-parsed and the raw-datagram ingestion paths —
+//! and raw-IP ingestion must agree with link-layer ingestion.
 
 // Test target: panicking is the idiomatic failure mode.
 #![allow(clippy::unwrap_used)]
 
 use std::collections::BTreeMap;
+use std::net::Ipv4Addr;
 use vcaml_suite::datasets::{inlab_corpus, to_core_trace, CorpusConfig};
-use vcaml_suite::netpkt::FlowKey;
+use vcaml_suite::netpkt::{
+    Error as NetError, EtherType, EthernetRepr, FlowKey, Ipv4Repr, Ipv6Repr, MacAddr, Timestamp,
+    UdpRepr,
+};
 use vcaml_suite::rtp::VcaKind;
 use vcaml_suite::vcaml::api::build_engine;
 use vcaml_suite::vcaml::{
-    EngineConfig, EstimationMethod, Method, MonitorBuilder, QoeEvent, Trace, WindowReport,
+    EngineConfig, EstimationMethod, Method, MonitorBuilder, ParseDropReason, QoeEvent, Trace,
+    WindowReport,
 };
 use vcaml_suite::vcasim::{Session, SessionConfig, VcaProfile};
 
@@ -81,9 +87,9 @@ fn monitor_matches_direct_engine_for_all_methods() {
                 let mut engine = build_engine(method, config, trace.payload_map, None);
                 let mut want = Vec::new();
                 for p in &trace.packets {
-                    want.extend(engine.push(p));
+                    engine.push_into(p, &mut want);
                 }
-                want.extend(engine.finish());
+                engine.finish_into(&mut want);
 
                 let mut monitor = MonitorBuilder::new(vca)
                     .method(EstimationMethod::Fixed(method))
@@ -123,9 +129,9 @@ fn raw_ingestion_matches_preparsed_trace() {
         let mut engine = build_engine(method, config, trace.payload_map, None);
         let mut want = Vec::new();
         for p in &trace.packets {
-            want.extend(engine.push(p));
+            engine.push_into(p, &mut want);
         }
-        want.extend(engine.finish());
+        engine.finish_into(&mut want);
 
         let mut monitor = MonitorBuilder::new(vca)
             .method(EstimationMethod::Fixed(method))
@@ -138,6 +144,104 @@ fn raw_ingestion_matches_preparsed_trace() {
         let got = monitor_windows(monitor.finish());
         assert_reports_equal(&got, &want, &format!("raw {method:?}"));
     }
+}
+
+/// One UDP datagram carrying `payload_len` zero bytes, as an Ethernet
+/// frame over IPv4 or IPv6; the raw IP packet starts at byte 14. The UDP
+/// checksum covers an IPv4 pseudo-header either way; the monitor does not
+/// verify it.
+fn udp_frame(payload_len: usize, v6: bool) -> Vec<u8> {
+    let ip_len = if v6 { 40 } else { 20 };
+    let (src, dst) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
+    let mut frame = vec![0u8; 14 + ip_len + 8 + payload_len];
+    EthernetRepr {
+        src: MacAddr([2, 0, 0, 0, 0, 1]),
+        dst: MacAddr([2, 0, 0, 0, 0, 2]),
+        ethertype: if v6 { EtherType::Ipv6 } else { EtherType::Ipv4 },
+    }
+    .emit(&mut frame);
+    UdpRepr {
+        src_port: 50_000,
+        dst_port: 3478,
+    }
+    .emit_v4(
+        &mut frame[14 + ip_len..],
+        payload_len,
+        src.octets(),
+        dst.octets(),
+    );
+    if v6 {
+        Ipv6Repr {
+            src: src.to_ipv6_mapped().octets(),
+            dst: dst.to_ipv6_mapped().octets(),
+            next_header: 17,
+            payload_len: 8 + payload_len,
+            hop_limit: 64,
+        }
+        .emit(&mut frame[14..]);
+    } else {
+        Ipv4Repr {
+            src: src.octets(),
+            dst: dst.octets(),
+            protocol: 17,
+            payload_len: 8 + payload_len,
+            ttl: 64,
+            ident: 1,
+        }
+        .emit(&mut frame[14..]);
+    }
+    frame
+}
+
+/// Raw-IP ingestion agrees with link-layer ingestion of the same packets,
+/// for UDP in IPv4 and in IPv6, and classifies an unknown IP version and
+/// an empty buffer as parse drops.
+#[test]
+fn raw_ip_ingestion_matches_frame_ingestion() {
+    let vca = VcaKind::Teams;
+    for v6 in [false, true] {
+        let mut by_ip = MonitorBuilder::new(vca).build();
+        let mut by_frame = MonitorBuilder::new(vca).build();
+        // 3 s of 30 fps video: two packets per frame, sizes varying by frame.
+        for i in 0..180i64 {
+            let frame = udp_frame(900 + (i as usize / 2 % 9) * 13, v6);
+            let ts = Timestamp::from_micros(i * 16_667);
+            by_ip.ingest_ip(ts, &frame[14..]);
+            by_frame.ingest_frame(ts, &frame);
+        }
+        assert_eq!(by_ip.stats().parse_drops, 0, "v6 {v6}: clean feed");
+        let want: Vec<WindowReport> = monitor_windows(by_frame.finish()).into_values().collect();
+        assert!(!want.is_empty(), "v6 {v6}: windows emitted");
+        assert_reports_equal(&monitor_windows(by_ip.finish()), &want, &format!("v6 {v6}"));
+    }
+
+    let mut monitor = MonitorBuilder::new(vca).build();
+    monitor.ingest_ip(Timestamp::from_millis(1), &[0x50; 28]);
+    monitor.ingest_ip(Timestamp::from_millis(2), &[]);
+    let drops: Vec<ParseDropReason> = monitor
+        .finish()
+        .into_iter()
+        .filter_map(|e| match e {
+            QoeEvent::ParseDrop { reason, .. } => Some(reason),
+            _ => None,
+        })
+        .collect();
+    let bad_version = NetError::Malformed {
+        layer: "ip",
+        what: "version is neither 4 nor 6",
+    };
+    let empty = NetError::Truncated {
+        layer: "ip",
+        needed: 1,
+        got: 0,
+    };
+    assert_eq!(
+        drops,
+        [
+            ParseDropReason::from(&bad_version),
+            ParseDropReason::from(&empty)
+        ]
+    );
 }
 
 /// Auto selection must not change the numbers, only the method: a flow

@@ -14,10 +14,11 @@ use vcaml_suite::netpkt::{FlowKey, LinkType, PcapWriter, Timestamp};
 use vcaml_suite::rtp::VcaKind;
 use vcaml_suite::vcaml::source::{PacketSource, PcapFileSource, SourcePacket};
 use vcaml_suite::vcaml::{
-    AlertSink, ChannelSink, EstimationMethod, JsonLinesSink, Method, MonitorBuilder, MonitorRunner,
-    OverflowPolicy, QoeEvent, ReplaySource, SummarySink, SyntheticSource, Tee, Trace, TracePacket,
-    WindowReport,
+    AlertSink, AlertThresholds, ChannelSink, EstimationMethod, EventSink, JsonLinesSink, Method,
+    MonitorBuilder, MonitorRunner, OverflowPolicy, QoeEstimate, QoeEvent, ReplaySource, Severity,
+    SummarySink, SyntheticSource, Tee, Trace, TracePacket, WindowReport,
 };
+use vcaml_suite::vcasim::VcaProfile;
 
 /// A `Write` handle tests can keep after handing a sink ownership.
 #[derive(Clone, Default)]
@@ -237,6 +238,58 @@ fn alert_sink_fires_below_threshold() {
         "every finalized window alerts under an unreachable threshold"
     );
     assert!(text.lines().all(|l| l.contains("\"type\":\"alert\"")));
+}
+
+/// `AlertSink` and `Severity::of` judge the same floors: a finalized
+/// window writes alert lines exactly when its event is a `Warning`, fps
+/// before bitrate, and a bitrate breach suppresses the resolution one.
+#[test]
+fn alert_sink_agrees_with_severity_on_every_floor() {
+    let thresholds = AlertThresholds::with_fps(20.0);
+    thresholds.set_min_kbps(100.0);
+    thresholds.set_resolution_floor(360, &VcaProfile::lab(VcaKind::Teams));
+    let bar = thresholds.bar();
+    let res = bar.res_min_kbps;
+    assert!(res > 100.0, "resolution floor sits above the bitrate floor");
+    // (estimate as (fps, kbps), model fps, expected alert metrics)
+    let cases = [
+        (Some((30.0, res + 50.0)), None, ""),
+        (Some((19.0, res + 50.0)), None, "fps"),
+        (Some((20.0, res + 50.0)), None, ""),
+        (Some((30.0, 50.0)), None, "bitrate"),
+        (Some((30.0, res - 1.0)), None, "resolution"),
+        (Some((30.0, res)), None, ""),
+        (Some((5.0, 50.0)), None, "fps,bitrate"),
+        (None, Some(12.0), "fps"),
+        (None, None, ""),
+    ];
+    for (i, (estimate, model_fps, want)) in cases.into_iter().enumerate() {
+        let report = WindowReport {
+            window: i as u64,
+            method: Method::IpUdpHeuristic,
+            estimate: estimate.map(|(fps, bitrate_kbps)| QoeEstimate {
+                bitrate_kbps,
+                fps,
+                frame_jitter_ms: 0.0,
+            }),
+            features: None,
+            model_fps,
+            video_packets: 1,
+        };
+        let event = Arc::new(QoeEvent::WindowReport {
+            flow: flow_key(1),
+            report,
+            provisional: false,
+        });
+        let out = SharedBuf::default();
+        AlertSink::with_thresholds(out.clone(), thresholds.clone()).on_event(&event);
+        let text = String::from_utf8(out.bytes()).expect("utf8");
+        // Each line opens `{"type":"alert","metric":"<name>",`.
+        let metrics: Vec<&str> = text.lines().map(|l| l.split('"').nth(7).unwrap()).collect();
+        assert_eq!(metrics.join(","), want, "case {i}");
+        let warning = Severity::of(&event, &bar) == Severity::Warning;
+        assert_eq!(!metrics.is_empty(), warning, "case {i}");
+    }
 }
 
 proptest! {
